@@ -15,8 +15,9 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -51,6 +52,7 @@ from .positivity import (
     genus_kn,
     ito_obstruction,
     sharpness,
+    sharpness_jobs,
     skein_decomposition_check,
     verify_topterm,
 )
@@ -98,12 +100,11 @@ def _execute(claim: Claim) -> ClaimResult:
     start = time.perf_counter()
     try:
         ok, computed = claim.thunk()
-        if ok is None:
-            status = "unknown"
-        else:
-            status = "pass" if ok else "fail"
+        status = "unknown" if ok is None else "pass" if ok else "fail"
     except BudgetExceededError as exc:
         status, computed = "skipped", f"budget exceeded: {exc}"
+        if exc.spent is not None:
+            computed += f" (spent {exc.spent})"
     except Exception as exc:  # a crashed claim is a failed claim
         status, computed = "fail", f"error: {exc!r}"
     return ClaimResult(
@@ -115,23 +116,14 @@ def _execute(claim: Claim) -> ClaimResult:
     )
 
 
-def _run_claims(claims: Sequence[Claim], threads: int) -> list[ClaimResult]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_execute, claims))
-    else:
-        results = [_execute(c) for c in claims]
-    return sorted(results, key=lambda r: r.claim)
-
-
-def _emit_report(results: list[ClaimResult], args) -> int:
+def _emit_report(results: list[ClaimResult], as_json: bool, config: dict) -> int:
     counts = {"pass": 0, "fail": 0, "skipped": 0, "unknown": 0}
     for r in results:
         counts[r.status] += 1
-    if args.json:
+    if as_json:
         payload = {
             "version": __version__,
-            "config": _config_echo(args),
+            "config": config,
             "entries": [r.__dict__ for r in results],
             "summary": counts,
         }
@@ -139,109 +131,68 @@ def _emit_report(results: list[ClaimResult], args) -> int:
     else:
         for r in results:
             print(f"[{r.status:>7}] {r.claim}: {r.statement} -> {r.computed} ({r.seconds}s)")
-        total = len(results)
         print(
-            f"{total} claims: {counts['pass']} pass, {counts['fail']} fail, "
+            f"{len(results)} claims: {counts['pass']} pass, {counts['fail']} fail, "
             f"{counts['skipped']} skipped, {counts['unknown']} unknown"
         )
     return 1 if counts["fail"] else 0
 
 
 def _config_echo(args) -> dict:
-    keys = (
-        "max_strands",
-        "max_letters",
-        "node_budget",
-        "pf_tolerance",
-        "backtrack_bound",
-        "handle_budget",
-        "threads",
-        "level",
-        "n",
-        "n_max",
-        "k_max",
-        "genus",
-    )
+    keys = ("max_strands", "node_budget", "pf_tolerance", "backtrack_bound", "handle_budget",
+            "level", "n", "n_max", "k_max", "genus")
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
 
 # ---------------------------------------------------------------------------
-# suite builders
+# suite builders: each takes the parsed budget flags and its suite inputs
 
 
-def _claims_topterm(n_values, node_budget, max_strands) -> list[Claim]:
-    claims = []
-    for n in n_values:
-        sign = "+" if n % 2 == 0 else "-"
-        exp = 3 * n * n + 3 * n
-
-        def thunk(n=n):
-            r = verify_topterm(n, node_budget=node_budget, max_strands=max_strands)
-            return r.ok, {"exponent": r.exponent, "coefficient": r.coefficient}
-
-        claims.append(
-            Claim(
-                f"topterm-n{n}",
-                f"p0 of the beta_{n} closure has top term {sign}v^{exp}",
-                thunk,
-            )
-        )
-    return claims
+def _sweep(values, text: Callable[..., tuple[str, str]], check: Callable) -> list[Claim]:
+    """One claim per value: text(value) gives (claim id, statement) and
+    check(value) runs it."""
+    return [Claim(*text(v), partial(check, v)) for v in values]
 
 
-def _claims_decomposition(n_values, node_budget, max_strands) -> list[Claim]:
-    claims = []
-    for n in n_values:
+def _topterm(o, ns) -> list[Claim]:
+    def check(n):
+        r = verify_topterm(n, node_budget=o.node_budget, max_strands=o.max_strands)
+        return r.ok, {"exponent": r.exponent, "coefficient": r.coefficient}
 
-        def thunk(n=n):
-            r = skein_decomposition_check(n, node_budget=node_budget, max_strands=max_strands)
-            return r.holds, {"degree": r.lhs.degree, "terms": len(r.lhs.terms)}
+    def text(n):
+        top = f"{'+' if n % 2 == 0 else '-'}v^{3 * n * n + 3 * n}"
+        return f"topterm-n{n}", f"p0 of the beta_{n} closure has top term {top}"
 
-        claims.append(
-            Claim(
-                f"decomposition-n{n}",
-                f"p0 recursion over cable and kn_plus pieces holds exactly at n={n}",
-                thunk,
-            )
-        )
-    return claims
+    return _sweep(ns, text, check)
 
 
-def _claims_sharpness(n_max, node_budget, max_strands) -> list[Claim]:
-    jobs: list[tuple[str, str, BraidWord, bool]] = [
-        ("sharpness-trefoil", "trefoil braid is sharp", BraidWord(2, (1, 1, 1)), True)
-    ]
-    for k in range(2, n_max + 1):
-        jobs.append(
-            (
-                f"sharpness-cable-k{k}",
-                f"cable braid X_{k}^3.[1..{k - 1}] is not sharp",
-                family("cable", k),
-                False,
-            )
-        )
-    for n in range(3, n_max + 1):
-        jobs.append(
-            (
-                f"sharpness-knplus-n{n}",
-                f"kn_plus braid at n={n} is not sharp",
-                family("kn_plus", n),
-                False,
-            )
-        )
-    claims = []
-    for cid, statement, braid, expected in jobs:
+def _decomposition(o, ns) -> list[Claim]:
+    def check(n):
+        r = skein_decomposition_check(n, node_budget=o.node_budget, max_strands=o.max_strands)
+        return r.holds, {"degree": r.lhs.degree, "terms": len(r.lhs.terms)}
 
-        def thunk(braid=braid, expected=expected):
-            rep = sharpness(braid, node_budget=node_budget, max_strands=max_strands)
-            return rep.sharp == expected, {
-                "p0_degree": rep.p0_degree,
-                "bound": rep.bound,
-                "sharp": rep.sharp,
-            }
+    return _sweep(ns, lambda n: (f"decomposition-n{n}", (
+        f"p0 recursion over cable and kn_plus pieces holds exactly at n={n}")), check)
 
-        claims.append(Claim(cid, statement, thunk))
-    return claims
+
+_SHARPNESS_TEXT = {  # family -> claim id suffix and statement, formatted with (index, index - 1)
+    "trefoil": ("trefoil", "trefoil braid is sharp"),
+    "cable": ("cable-k{0}", "cable braid X_{0}^3.[1..{1}] is not sharp"),
+    "kn_plus": ("knplus-n{0}", "kn_plus braid at n={0} is not sharp"),
+}
+
+
+def _sharpness(o, n_max) -> list[Claim]:
+    def check(job):
+        rep = sharpness(job[2], node_budget=o.node_budget, max_strands=o.max_strands)
+        computed = {"p0_degree": rep.p0_degree, "bound": rep.bound, "sharp": rep.sharp}
+        return rep.sharp == job[3], computed
+
+    def text(job):
+        cid, statement = _SHARPNESS_TEXT[job[0]]
+        return f"sharpness-{cid.format(job[1])}", statement.format(job[1], job[1] - 1)
+
+    return _sweep(sharpness_jobs(n_max), text, check)
 
 
 def _ito_computed(verdict) -> dict:
@@ -255,179 +206,107 @@ def _ito_computed(verdict) -> dict:
     }
 
 
-def _claims_ito_controls(node_budget, max_strands) -> list[Claim]:
-    def control(cid, statement, braid, g):
-        def thunk():
-            v = ito_obstruction(braid, g, max_strands=max_strands, node_budget=node_budget)
-            return v.positive, _ito_computed(v)
-
-        return Claim(cid, statement, thunk)
-
-    return [
-        control(
-            "ito-control-t23",
-            "obstruction stays positive on the trefoil (genus 1)",
-            BraidWord(2, (1, 1, 1)),
-            1,
-        ),
-        control(
-            "ito-control-t25",
-            "obstruction stays positive on the (2,5) torus knot (genus 2)",
-            BraidWord(2, (1, 1, 1, 1, 1)),
-            2,
-        ),
-    ]
+_TORUS_KNOTS = {1: "the trefoil", 2: "the (2,5) torus knot"}  # genus -> name
 
 
-def _claim_ito_kn(n, genus, node_budget, max_strands) -> Claim:
-    if n % 2 == 0:
+def _ito(o, ns, genus) -> list[Claim]:
+    def verdict(braid, g):
+        return ito_obstruction(braid, g, max_strands=o.max_strands, node_budget=o.node_budget)
+
+    def control(g):
+        v = verdict(BraidWord(2, (1,) * (2 * g + 1)), g)
+        return v.positive, _ito_computed(v)
+
+    def kn(n):
+        if n % 2 == 1:  # no genus formula, so no proven expectation
+            return None, _ito_computed(verdict(kn_braid(n), genus))
+        v = verdict(kn_braid(n), genus_kn(n))
+        computed = _ito_computed(v)
+        return (not v.positive) and computed["z0_top"] == [2 * n - 1, -1], computed
+
+    def kn_text(n):
+        if n % 2 == 1:
+            return f"ito-kn-n{n}", (f"obstruction value for the beta_{n} closure at supplied"
+                                    f" genus {genus} (no asserted outcome)")
+        return f"ito-kn-n{n}", (f"obstruction fires on the beta_{n} closure with z^0 top term"
+                                f" -alpha^{2 * n - 1}")
+
+    return _sweep(_TORUS_KNOTS, lambda g: (f"ito-control-t2{2 * g + 1}", (
+        f"obstruction stays positive on {_TORUS_KNOTS[g]} (genus {g})")), control
+    ) + _sweep(ns, kn_text, kn)
+
+
+def _genus(o, ns) -> list[Claim]:
+    def check(n):
+        d = alexander(kn_braid(n)).degree
         g = genus_kn(n)
+        return 2 * d == 2 * g, {"alexander_span": 2 * d, "genus": g}
 
-        def thunk(n=n, g=g):
-            v = ito_obstruction(
-                kn_braid(n), g, max_strands=max_strands, node_budget=node_budget
-            )
-            computed = _ito_computed(v)
-            ok = (not v.positive) and computed["z0_top"] == [2 * n - 1, -1]
-            return ok, computed
-
-        return Claim(
-            f"ito-kn-n{n}",
-            f"obstruction fires on the beta_{n} closure with z^0 top term -alpha^{2 * n - 1}",
-            thunk,
-        )
-
-    def thunk(n=n, g=genus):
-        v = ito_obstruction(kn_braid(n), g, max_strands=max_strands, node_budget=node_budget)
-        return None, _ito_computed(v)  # no proven expectation at odd n
-
-    return Claim(
-        f"ito-kn-n{n}",
-        f"obstruction value for the beta_{n} closure at supplied genus {genus} (no asserted outcome)",
-        thunk,
-    )
+    return _sweep(ns, lambda n: (f"genus-n{n}", (
+        f"Alexander degree span of the beta_{n} closure equals twice the genus formula")), check)
 
 
-def _claims_genus(n_values, max_strands) -> list[Claim]:
-    claims = []
-    for n in n_values:
-
-        def thunk(n=n):
-            d = alexander(kn_braid(n)).degree
-            g = genus_kn(n)
-            return 2 * d == 2 * g, {"alexander_span": 2 * d, "genus": g}
-
-        claims.append(
-            Claim(
-                f"genus-n{n}",
-                f"Alexander degree span of the beta_{n} closure equals twice the genus formula",
-                thunk,
-            )
-        )
-    return claims
-
-
-def _claims_lspace(k_max) -> list[Claim]:
+def _lspace(o, k_max) -> list[Claim]:
     width = max(4, len(str(k_max)))
-    claims = []
-    for k in range(1, k_max + 1):
-        for tag, triple in (("ell0", ell0_triple(k)), ("ellinf", ellinf_triple(k))):
 
-            def thunk(triple=triple):
-                v = is_lspace_m1(*triple)
-                return v.is_lspace, {
-                    "triple": [str(r) for r in triple],
-                    "witness": v.witness,
-                }
-
-            claims.append(
-                Claim(
-                    f"lspace-{tag}-k{k:0{width}d}",
-                    f"Seifert triple for {tag} at k={k} passes the L-space criterion",
-                    thunk,
-                )
-            )
+    def check(job):
+        v = is_lspace_m1(*job[2])
+        return v.is_lspace, {"triple": [str(r) for r in job[2]], "witness": v.witness}
 
     def control():
-        from fractions import Fraction
-
         v = is_lspace_m1(Fraction(1, 2), Fraction(1, 3), Fraction(1, 7))
         return (not v.is_lspace) and v.witness == (5, 3), {"witness": v.witness}
 
-    claims.append(
-        Claim(
-            "lspace-negative-control",
-            "triple (1/2, 1/3, 1/7) fails the criterion with witness (5, 3)",
-            control,
-        )
-    )
-    return claims
+    jobs = [(k, tag, triple(k)) for k in range(1, k_max + 1)
+            for tag, triple in (("ell0", ell0_triple), ("ellinf", ellinf_triple))]
+    return _sweep(jobs, lambda job: (f"lspace-{job[1]}-k{job[0]:0{width}d}", (
+        f"Seifert triple for {job[1]} at k={job[0]} passes the L-space criterion")), check
+    ) + [Claim("lspace-negative-control",
+               "triple (1/2, 1/3, 1/7) fails the criterion with witness (5, 3)", control)]
 
 
-def _claims_slopes(k_max) -> list[Claim]:
+def _slopes(o, k_max) -> list[Claim]:
     width = max(4, len(str(k_max)))
-    claims = []
-    for k in range(1, k_max + 1):
 
-        def thunk(k=k):
-            fam = ell_family(k)
-            sl = surgery_slopes(k)
-            ok = (
-                fam.det_ell == 12 * k * k + 2 * k
-                and fam.det_ell0 == 6 * k + 1
-                and fam.recursion_holds
-                and fam.endpoints_match
-                and sl.consistent
-            )
-            return ok, {
-                "det_ell": fam.det_ell,
-                "det_ell0": fam.det_ell0,
-                "lspace_slope": sl.lspace_slope,
-                "quotient_coeff": sl.quotient_coeff,
-            }
-
-        claims.append(
-            Claim(
-                f"slopes-k{k:0{width}d}",
-                f"determinant recursion, endpoints, and surgery consistency hold at k={k}",
-                thunk,
-            )
+    def check(k):
+        fam = ell_family(k)
+        sl = surgery_slopes(k)
+        ok = (
+            fam.det_ell == 12 * k * k + 2 * k
+            and fam.det_ell0 == 6 * k + 1
+            and fam.recursion_holds
+            and fam.endpoints_match
+            and sl.consistent
         )
+        return ok, {
+            "det_ell": fam.det_ell,
+            "det_ell0": fam.det_ell0,
+            "lspace_slope": sl.lspace_slope,
+            "quotient_coeff": sl.quotient_coeff,
+        }
 
     def anchor():
         sl = surgery_slopes(1)
         return sl.lspace_slope == 14, {"lspace_slope": sl.lspace_slope}
 
-    claims.append(
-        Claim(
-            "slopes-anchor-k1",
-            "the L-space surgery slope at k=1 is 14",
-            anchor,
-        )
-    )
-    return claims
+    return _sweep(range(1, k_max + 1), lambda k: (f"slopes-k{k:0{width}d}", (
+        f"determinant recursion, endpoints, and surgery consistency hold at k={k}")), check
+    ) + [Claim("slopes-anchor-k1", "the L-space surgery slope at k=1 is 14", anchor)]
 
 
-def _certify_family_map(n, pf_tolerance, backtrack_bound):
+def _certify_family_map(o, n):
     gm = kn_map(n)
     diag = validate(gm)
     M = transition(gm)
     irreducible = is_irreducible(M)
-    lam = pf_eigenvalue(M, pf_tolerance)
-    bound = backtrack_bound if backtrack_bound else 2 * (2 * n + 2)
+    lam = pf_eigenvalue(M, o.pf_tolerance)
+    bound = o.backtrack_bound if o.backtrack_bound else 2 * (2 * n + 2)
     eff = is_efficient_up_to(gm, bound)
     en = f"e{n}"
     covers = {t.lstrip("-") for t in gm.edge_image[en]} >= set(diag.real)
     reach = [steps_to_reach(gm, e, en, 2 * n + 2) for e in diag.real]
     reach_ok = all(r is not None for r in reach)
-    ok = (
-        diag.ok
-        and irreducible
-        and lam > 1 + 1e-6
-        and eff.efficient
-        and covers
-        and reach_ok
-    )
+    ok = diag.ok and irreducible and lam > 1 + 1e-6 and eff.efficient and covers and reach_ok
     return ok, {
         "real_edges": len(diag.real),
         "irreducible": irreducible,
@@ -441,24 +320,12 @@ def _certify_family_map(n, pf_tolerance, backtrack_bound):
     }
 
 
-def _claims_traintrack(n_values, pf_tolerance, backtrack_bound) -> list[Claim]:
-    claims = []
-    for n in n_values:
+def _traintrack(o, ns, path=None) -> list[Claim]:
+    if not path:
+        return _sweep(ns, lambda n: (f"traintrack-n{n}", (
+            f"graph map at n={n} is efficient with irreducible real block and dilatation > 1")),
+            partial(_certify_family_map, o))
 
-        def thunk(n=n):
-            return _certify_family_map(n, pf_tolerance, backtrack_bound)
-
-        claims.append(
-            Claim(
-                f"traintrack-n{n}",
-                f"graph map at n={n} is efficient with irreducible real block and dilatation > 1",
-                thunk,
-            )
-        )
-    return claims
-
-
-def _claims_traintrack_file(path, pf_tolerance, backtrack_bound) -> list[Claim]:
     def load():
         with open(path) as fh:
             return map_from_json(json.load(fh))
@@ -472,21 +339,17 @@ def _claims_traintrack_file(path, pf_tolerance, backtrack_bound) -> list[Claim]:
         }
 
     def m_thunk():
-        gm = load()
-        M = transition(gm)
+        M = transition(load())
         irr = is_irreducible(M)
-        lam = pf_eigenvalue(M, pf_tolerance)
+        lam = pf_eigenvalue(M, o.pf_tolerance)
         return irr, {"labels": list(M.labels), "irreducible": irr, "lambda": round(lam, 9)}
 
     def e_thunk():
         gm = load()
-        bound = backtrack_bound if backtrack_bound else 2 * len(gm.graph.edges)
+        bound = o.backtrack_bound if o.backtrack_bound else 2 * len(gm.graph.edges)
         rep = is_efficient_up_to(gm, bound)
-        return rep.efficient, {
-            "bound": rep.bound,
-            "stabilized": rep.stabilized,
-            "witness": rep.witness,
-        }
+        computed = {"bound": rep.bound, "stabilized": rep.stabilized, "witness": rep.witness}
+        return rep.efficient, computed
 
     name = Path(path).name
     return [
@@ -496,86 +359,110 @@ def _claims_traintrack_file(path, pf_tolerance, backtrack_bound) -> list[Claim]:
     ]
 
 
-def _claims_dehornoy(n_values, handle_budget) -> list[Claim]:
-    claims = []
-    for n in n_values:
+def _dehornoy(o, ns) -> list[Claim]:
+    def check(n):
+        cert = floor_exceeds_one(n, o.handle_budget)
+        return cert.holds and cert.main_index == 1, {
+            "steps": cert.steps,
+            "witness_letters": len(cert.witness.letters),
+            "main_index": cert.main_index,
+        }
 
-        def thunk(n=n):
-            cert = floor_exceeds_one(n, handle_budget)
-            return cert.holds and cert.main_index == 1, {
-                "steps": cert.steps,
-                "witness_letters": len(cert.witness.letters),
-                "main_index": cert.main_index,
-            }
+    return _sweep(ns, lambda n: (f"dehornoy-n{n}", (
+        f"full twist to the fourth precedes the conjugated braid at n={n}"
+        " (sigma_1-positive quotient)")), check)
 
-        claims.append(
-            Claim(
-                f"dehornoy-n{n}",
-                f"full twist to the fourth precedes the conjugated braid at n={n} (sigma_1-positive quotient)",
-                thunk,
-            )
-        )
-    return claims
+
+# ---------------------------------------------------------------------------
+# the claims table
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One `verify` target.  args are its own (flag, argparse keywords)
+    pairs; inputs maps the parsed arguments to build's keyword inputs; desk
+    and full are those inputs for `verify all` at each level."""
+
+    help: str
+    args: tuple[tuple[str, dict], ...]
+    inputs: Callable[[argparse.Namespace], dict]
+    build: Callable[..., list[Claim]]
+    desk: dict
+    full: dict
+
+
+def _int_arg(flag: str, default: int | None, **kw) -> tuple[str, dict]:
+    return flag, {"type": int, "default": default, **kw}
+
+
+# Table order is build order, and so decides which claim pays for a memo it
+# shares with a later one (ito-kn-n4 computes the Hecke HOMFLY of beta_4 that
+# genus-n4 reuses).
+SUITES: dict[str, Suite] = {
+    "topterm": Suite(
+        "top term of p0 for one beta braid", (_int_arg("--n", 2),),
+        lambda a: {"ns": [a.n]}, _topterm,
+        desk={"ns": [2, 3]}, full={"ns": [2, 3, 4]},
+    ),
+    "decomposition": Suite(
+        "p0 recursion for n = 2..n-max", (_int_arg("--n-max", 3),),
+        lambda a: {"ns": range(2, a.n_max + 1)}, _decomposition,
+        desk={"ns": [2, 3]}, full={"ns": [2, 3, 4]},
+    ),
+    "sharpness": Suite(
+        "sharpness suite up to n-max", (_int_arg("--n-max", 3),),
+        lambda a: {"n_max": a.n_max}, _sharpness,
+        desk={"n_max": 3}, full={"n_max": 4},
+    ),
+    "ito": Suite(
+        "braid-positivity obstruction controls and one beta braid",
+        (_int_arg("--n", 2), _int_arg("--genus", None, help="required for odd --n")),
+        lambda a: {"ns": [a.n], "genus": a.genus}, _ito,
+        desk={"ns": [2], "genus": None}, full={"ns": [2, 4], "genus": None},
+    ),
+    "genus": Suite(
+        "Alexander span against the genus formula", (_int_arg("--n", 2),),
+        lambda a: {"ns": [a.n]}, _genus,
+        desk={"ns": [2]}, full={"ns": [2, 4]},
+    ),
+    "lspace": Suite(
+        "L-space criterion sweep over k", (_int_arg("--k-max", 50),),
+        lambda a: {"k_max": a.k_max}, _lspace,
+        desk={"k_max": 50}, full={"k_max": 500},
+    ),
+    "slopes": Suite(
+        "determinant and surgery arithmetic sweep over k", (_int_arg("--k-max", 50),),
+        lambda a: {"k_max": a.k_max}, _slopes,
+        desk={"k_max": 50}, full={"k_max": 500},
+    ),
+    "traintrack": Suite(
+        "graph-map certificates for n = 3..n-max or a JSON map",
+        (_int_arg("--n-max", 8), ("--map", {"help": "certify a JSON graph map instead"})),
+        lambda a: {"ns": range(3, a.n_max + 1), "path": a.map}, _traintrack,
+        desk={"ns": range(3, 9)}, full={"ns": range(3, 9)},
+    ),
+    "dehornoy": Suite(
+        "Dehornoy floor certificates for n = 2..n-max", (_int_arg("--n-max", 5),),
+        lambda a: {"ns": range(2, a.n_max + 1)}, _dehornoy,
+        desk={"ns": range(2, 6)}, full={"ns": range(2, 6)},
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 
-def _resolved_node_budget(args, fallback: int) -> int:
-    return args.node_budget if args.node_budget else fallback
-
-
 def _cmd_verify(args) -> int:
-    target = args.target
-    node_budget = _resolved_node_budget(args, 5_000_000)
-    claims: list[Claim] = []
-    if target == "topterm":
-        claims = _claims_topterm([args.n], node_budget, args.max_strands)
-    elif target == "decomposition":
-        claims = _claims_decomposition(
-            range(2, args.n_max + 1), node_budget, args.max_strands
-        )
-    elif target == "sharpness":
-        claims = _claims_sharpness(args.n_max, node_budget, args.max_strands)
-    elif target == "ito":
-        claims = _claims_ito_controls(node_budget, args.max_strands)
-        claims.append(_claim_ito_kn(args.n, args.genus, node_budget, args.max_strands))
-    elif target == "genus":
-        claims = _claims_genus([args.n], args.max_strands)
-    elif target == "lspace":
-        claims = _claims_lspace(args.k_max)
-    elif target == "slopes":
-        claims = _claims_slopes(args.k_max)
-    elif target == "traintrack":
-        if args.map:
-            claims = _claims_traintrack_file(args.map, args.pf_tolerance, args.backtrack_bound)
-        else:
-            claims = _claims_traintrack(
-                range(3, args.n_max + 1), args.pf_tolerance, args.backtrack_bound
-            )
-    elif target == "dehornoy":
-        claims = _claims_dehornoy(range(2, args.n_max + 1), args.handle_budget)
-    elif target == "all":
-        full = args.level == "full"
-        top_ns = [2, 3, 4] if full else [2, 3]
-        dec_ns = [2, 3, 4] if full else [2, 3]
-        sharp_max = 4 if full else 3
-        ito_ns = [2, 4] if full else [2]
-        k_max = 500 if full else 50
-        claims += _claims_topterm(top_ns, node_budget, args.max_strands)
-        claims += _claims_decomposition(dec_ns, node_budget, args.max_strands)
-        claims += _claims_sharpness(sharp_max, node_budget, args.max_strands)
-        claims += _claims_ito_controls(node_budget, args.max_strands)
-        for n in ito_ns:
-            claims.append(_claim_ito_kn(n, None, node_budget, args.max_strands))
-        claims += _claims_genus(ito_ns, args.max_strands)
-        claims += _claims_lspace(k_max)
-        claims += _claims_slopes(k_max)
-        claims += _claims_traintrack(range(3, 9), args.pf_tolerance, args.backtrack_bound)
-        claims += _claims_dehornoy(range(2, 6), args.handle_budget)
-    results = _run_claims(claims, args.threads)
-    return _emit_report(results, args)
+    config = _config_echo(args)
+    args.node_budget = args.node_budget or 5_000_000
+    if args.target == "all":
+        claims = [c for s in SUITES.values() for c in s.build(args, **getattr(s, args.level))]
+    else:
+        suite = SUITES[args.target]
+        claims = suite.build(args, **suite.inputs(args))
+    results = sorted((_execute(c) for c in claims), key=lambda r: r.claim)
+    return _emit_report(results, args.json, config)
 
 
 def _parse_cli_braid(args, parser) -> BraidWord:
@@ -597,12 +484,11 @@ def _parse_cli_braid(args, parser) -> BraidWord:
 def _invariants_payload(b: BraidWord, args) -> dict:
     stats = closure_stats(b)
     cache = None if args.no_cache else PolynomialCache(default_cache_path())
-    node_budget = _resolved_node_budget(args, 200_000)
     P = homfly(
         b,
         engine=args.engine,
         max_strands=args.max_strands,
-        node_budget=node_budget,
+        node_budget=args.node_budget or 200_000,
         cache=cache,
     )
     dec = coefficient_polys(P, stats.components)
@@ -676,9 +562,14 @@ def _cmd_cache(args) -> int:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
+    """Flags every command that computes reads; see _add_verify_flags for the rest."""
     p.add_argument("--max-strands", type=int, default=8, help="Hecke engine strand cap")
-    p.add_argument("--max-letters", type=int, default=80, help="input word length cap")
     p.add_argument("--node-budget", type=int, default=None, help="skein recursion node cap")
+    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+
+
+def _add_verify_flags(p: argparse.ArgumentParser) -> None:
+    _add_budget_flags(p)
     p.add_argument("--pf-tolerance", type=float, default=1e-9, help="eigenvalue tolerance")
     p.add_argument(
         "--backtrack-bound",
@@ -689,8 +580,6 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--handle-budget", type=int, default=DEFAULT_STEP_BUDGET, help="handle reduction cap"
     )
-    p.add_argument("--threads", type=int, default=1, help="worker threads for claim sweeps")
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -706,7 +595,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv.add_argument("--strands", type=int, default=None)
     p_inv.add_argument("--engine", choices=("hecke", "skein"), default="hecke")
     p_inv.add_argument("--no-cache", action="store_true", help="skip the persistent cache")
-    _add_budget_flags(p_inv)
 
     p_fam = sub.add_parser("family", help="emit a built-in braid word or its invariants")
     p_fam.add_argument("name", choices=tuple(n.replace("_", "-") for n in FAMILY_NAMES))
@@ -714,43 +602,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_fam.add_argument("--emit", choices=("word", "invariants"), default="word")
     p_fam.add_argument("--engine", choices=("hecke", "skein"), default="hecke")
     p_fam.add_argument("--no-cache", action="store_true")
-    _add_budget_flags(p_fam)
+    for q in (p_inv, p_fam):
+        q.add_argument("--max-letters", type=int, default=80, help="input word length cap")
+        _add_budget_flags(q)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     ver_sub = p_ver.add_subparsers(dest="target", required=True)
-    targets = {
-        "topterm": "top term of p0 for one beta braid",
-        "decomposition": "p0 recursion for n = 2..n-max",
-        "sharpness": "sharpness suite up to n-max",
-        "ito": "braid-positivity obstruction controls and one beta braid",
-        "genus": "Alexander span against the genus formula",
-        "lspace": "L-space criterion sweep over k",
-        "slopes": "determinant and surgery arithmetic sweep over k",
-        "traintrack": "graph-map certificates for n = 3..n-max or a JSON map",
-        "dehornoy": "Dehornoy floor certificates for n = 2..n-max",
-        "all": "every suite at the chosen level",
-    }
-    for name, help_text in targets.items():
-        q = ver_sub.add_parser(name, help=help_text)
-        if name == "topterm":
-            q.add_argument("--n", type=int, default=2)
-        elif name in ("decomposition", "sharpness"):
-            q.add_argument("--n-max", type=int, default=3)
-        elif name == "ito":
-            q.add_argument("--n", type=int, default=2)
-            q.add_argument("--genus", type=int, default=None, help="required for odd --n")
-        elif name == "genus":
-            q.add_argument("--n", type=int, default=2)
-        elif name in ("lspace", "slopes"):
-            q.add_argument("--k-max", type=int, default=50)
-        elif name == "traintrack":
-            q.add_argument("--n-max", type=int, default=8)
-            q.add_argument("--map", default=None, help="certify a JSON graph map instead")
-        elif name == "dehornoy":
-            q.add_argument("--n-max", type=int, default=5)
-        elif name == "all":
-            q.add_argument("--level", choices=("desk", "full"), default="desk")
-        _add_budget_flags(q)
+    for name, suite in SUITES.items():
+        q = ver_sub.add_parser(name, help=suite.help)
+        for flag, kw in suite.args:
+            q.add_argument(flag, **kw)
+        _add_verify_flags(q)
+    q = ver_sub.add_parser("all", help="every suite at the chosen level")
+    q.add_argument("--level", choices=("desk", "full"), default="desk")
+    _add_verify_flags(q)
 
     p_cache = sub.add_parser("cache", help="persistent polynomial cache utilities")
     p_cache.add_argument("action", choices=("path", "stats", "clear"))

@@ -188,15 +188,16 @@ def hecke_homfly(b: BraidWord, *, max_strands: int = 8) -> LaurentPoly2:
 
 
 class _Budget:
-    __slots__ = ("remaining",)
+    __slots__ = ("limit", "spent")
 
     def __init__(self, nodes: int) -> None:
-        self.remaining = nodes
+        self.limit = nodes
+        self.spent = 0
 
     def spend(self) -> None:
-        if self.remaining <= 0:
-            raise BudgetExceededError("skein node budget exhausted", spent=0)
-        self.remaining -= 1
+        if self.spent >= self.limit:
+            raise BudgetExceededError("skein node budget exhausted", spent=self.spent)
+        self.spent += 1
 
 
 def _canonical_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
@@ -501,7 +502,8 @@ def alexander(b: BraidWord) -> LaurentPoly1:
 def determinant(b: BraidWord) -> int:
     """Knot determinant |Delta(-1)|."""
     value = alexander(b).evaluate(Fraction(-1))
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise AssertionError(f"Alexander polynomial at -1 is {value}, not an integer")
     return abs(int(value))
 
 

@@ -127,7 +127,8 @@ def det_montesinos(s: SeifertData) -> int:
     total = Fraction(s.euler) + sum(s.fibers, Fraction(0))
     for r in s.fibers:
         total *= r.denominator
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise AssertionError(f"Montesinos determinant {total} is not an integer")
     return abs(int(total))
 
 

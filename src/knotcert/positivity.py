@@ -38,6 +38,7 @@ __all__ = [
     "verify_topterm",
     "skein_decomposition_check",
     "nonsharpness_suite",
+    "sharpness_jobs",
 ]
 
 
@@ -219,21 +220,28 @@ def skein_decomposition_check(
     return DecompositionReport(n=n, holds=lhs == rhs, lhs=lhs, rhs=rhs)
 
 
+def sharpness_jobs(n_max: int) -> list[tuple[str, int, BraidWord, bool]]:
+    """The sharpness sweep as (family, index, braid, expected_sharp) rows:
+    the trefoil control must be sharp, every cable braid X_k^3 . [1..k-1]
+    for k = 2..n_max and every kn_plus braid for n = 3..n_max must not be.
+    """
+    return (
+        [("trefoil", 1, BraidWord(2, (1, 1, 1)), True)]
+        + [("cable", k, cable_braid(k), False) for k in range(2, n_max + 1)]
+        + [("kn_plus", n, kn_plus_braid(n), False) for n in range(3, n_max + 1)]
+    )
+
+
+_SUITE_LABELS = {"trefoil": "trefoil control", "cable": "cable k={}", "kn_plus": "kn_plus n={}"}
+
+
 def nonsharpness_suite(
     n_max: int, *, node_budget: int = 5_000_000, max_strands: int = 8
 ) -> list[SuiteEntry]:
-    """Sharpness sweep: the trefoil control must be sharp, every cable braid
-    X_k^3 . [1..k-1] for k >= 2 and every kn_plus braid for n >= 3 must not be.
-    """
-    jobs: list[tuple[str, BraidWord, bool]] = [
-        ("trefoil control", BraidWord(2, (1, 1, 1)), True)
-    ]
-    for k in range(2, n_max + 1):
-        jobs.append((f"cable k={k}", cable_braid(k), False))
-    for n in range(3, n_max + 1):
-        jobs.append((f"kn_plus n={n}", kn_plus_braid(n), False))
+    """Run :func:`sharpness_jobs`; an entry over budget is reported, not guessed."""
     entries = []
-    for label, braid, expected in jobs:
+    for fam, index, braid, expected in sharpness_jobs(n_max):
+        label = _SUITE_LABELS[fam].format(index)
         try:
             report = sharpness(braid, node_budget=node_budget, max_strands=max_strands)
             entries.append(SuiteEntry(label, expected, report))

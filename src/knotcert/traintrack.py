@@ -410,11 +410,13 @@ def _witness_position(
                 newA.add(p)
                 pair_parent[(m, p)] = ("junction", (x, y))
         L, A = newL, newA
-    assert bad in A
+    if bad not in A:
+        raise AssertionError(f"back track {bad} not reproduced at level {m_fail}")
 
     def letter_path(x: int, level: int) -> list[tuple[int, int]]:
         if level == 0:
-            assert x == e_id
+            if x != e_id:
+                raise AssertionError(f"witness path ends at {x}, not at edge {e_id}")
             return []
         parent, offset = letter_parent[(level, x)]
         return letter_path(parent, level - 1) + [(parent, offset)]

@@ -39,22 +39,40 @@ class TestVerify:
         assert "dehornoy-n2" in out and "dehornoy-n3" in out
 
     def test_verify_all_desk(self, capsys):
+        from collections import Counter
+
+        from knotcert.cli import SUITES
+
         code, out, _ = run(capsys, "verify", "all", "--level", "desk", "--json")
         assert code == 0
         doc = json.loads(out)
-        assert doc["summary"]["fail"] == 0
-        assert doc["summary"]["pass"] > 100
+        assert doc["summary"] == {"pass": 174, "fail": 0, "skipped": 0, "unknown": 0}
         claims = [e["claim"] for e in doc["entries"]]
         assert claims == sorted(claims)
+        assert len(set(claims)) == 174
+        # per-suite attribution splits a claim id at its first "-"
+        per_suite = Counter(c.split("-")[0] for c in claims)
+        assert set(per_suite) <= set(SUITES)
+        assert per_suite == {
+            "lspace": 101, "slopes": 51, "traintrack": 6, "dehornoy": 4, "sharpness": 4,
+            "ito": 3, "decomposition": 2, "topterm": 2, "genus": 1,
+        }
 
-    def test_threads_match_serial(self, capsys):
-        code1, out1, _ = run(capsys, "verify", "slopes", "--k-max", "20", "--json")
-        code2, out2, _ = run(capsys, "verify", "slopes", "--k-max", "20", "--json", "--threads", "4")
-        assert code1 == code2 == 0
-        strip = lambda doc: [
-            {k: v for k, v in e.items() if k != "seconds"} for e in doc["entries"]
-        ]
-        assert strip(json.loads(out1)) == strip(json.loads(out2))
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "slopes", "--threads", "2"],
+            ["invariants", "--braid", "1 1 1", "--pf-tolerance", "1e-6"],
+            ["invariants", "--braid", "1 1 1", "--backtrack-bound", "3"],
+            ["family", "kn", "--n", "2", "--handle-budget", "5"],
+            ["verify", "topterm", "--max-letters", "10"],
+            ["verify", "all", "--max-letters", "10"],
+        ],
+    )
+    def test_removed_flags_rejected(self, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
     def test_ito_even_n(self, capsys):
         code, out, _ = run(capsys, "verify", "ito", "--n", "2")
@@ -92,6 +110,7 @@ class TestVerify:
         skipped = _execute(Claim("d", "s", budget))
         assert skipped.status == "skipped"
         assert "budget exceeded" in skipped.computed
+        assert "(spent 10)" in skipped.computed
         crashed = _execute(Claim("e", "s", crash))
         assert crashed.status == "fail"
         assert "KeyError" in crashed.computed
@@ -112,6 +131,23 @@ class TestVerify:
         assert proc.returncode == 0
         assert "[skipped] topterm-n5" in proc.stdout
         assert "0 fail" in proc.stdout
+
+    def test_desk_suite_survives_optimize_flag(self):
+        import subprocess
+        import sys
+
+        # python -O strips assert statements; every check must still run
+        proc = subprocess.run(
+            [
+                sys.executable, "-O", "-m", "knotcert.cli",
+                "verify", "all", "--level", "desk", "--json",
+            ],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["summary"] == {
+            "pass": 174, "fail": 0, "skipped": 0, "unknown": 0,
+        }
 
 
 class TestTraintrackMaps:

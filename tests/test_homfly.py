@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -162,20 +163,30 @@ class TestAlexander:
 
 
 class TestBudgets:
+    @pytest.fixture(autouse=True)
+    def fresh_memos(self, monkeypatch):
+        # a budget counts resolver nodes, and a node another test memoized
+        # costs none, so these tests start from empty memos
+        engine = importlib.import_module("knotcert.homfly")
+        monkeypatch.setattr(engine, "_P0_MEMO", {})
+        monkeypatch.setattr(engine, "_HOMFLY_WALK_MEMO", {})
+
     def test_hecke_strand_guard(self):
         wide = BraidWord(9, (1,))
         with pytest.raises(BudgetExceededError):
             hecke_homfly(wide)
 
     def test_skein_node_budget(self):
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as err:
             skein_homfly(kn_braid(2), node_budget=5)
+        assert err.value.spent == 5
 
     def test_p0_fallback_disabled(self):
-        # wide enough that no other test memoizes it first
+        # simplifies to a 4-strand word that needs more than 2 nodes
         b = BraidWord(7, (1, -2, 3, -4, 5, -6, 1, -2, 3))
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError) as err:
             p0(b, node_budget=2, fallback=False)
+        assert err.value.spent == 2
 
     def test_p0_fallback_recovers(self):
         b = BraidWord(7, (6, -5, 4, -3, 2, -1, 6, -5, 4))
