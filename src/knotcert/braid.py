@@ -187,17 +187,17 @@ def free_reduce(b: BraidWord) -> BraidWord:
 
 def permutation(b: BraidWord) -> tuple[int, ...]:
     """One-line permutation: entry i holds the exit position of the strand
-    entering at position i (1-based)."""
-    perm = []
-    for start in range(1, b.strands + 1):
-        pos = start
-        for letter in b.letters:
-            k = abs(letter)
-            if pos == k:
-                pos = k + 1
-            elif pos == k + 1:
-                pos = k
-        perm.append(pos)
+    entering at position i (1-based).
+
+    One sweep over the word tracks which strand, named by its entry
+    position, sits at each position."""
+    at = list(range(1, b.strands + 1))
+    for letter in b.letters:
+        k = abs(letter)
+        at[k - 1], at[k] = at[k], at[k - 1]
+    perm = [0] * b.strands
+    for pos, start in enumerate(at, 1):
+        perm[start - 1] = pos
     return tuple(perm)
 
 

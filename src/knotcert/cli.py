@@ -238,7 +238,7 @@ def _ito(o, ns, genus) -> list[Claim]:
 
 def _genus(o, ns) -> list[Claim]:
     def check(n):
-        d = alexander(kn_braid(n)).degree
+        d = alexander(kn_braid(n), max_strands=o.max_strands).degree
         g = genus_kn(n)
         return 2 * d == 2 * g, {"alexander_span": 2 * d, "genus": g}
 
@@ -470,6 +470,11 @@ def _parse_cli_braid(args, parser) -> BraidWord:
         b = parse_braid(args.braid, strands=args.strands)
     except BraidError as exc:
         parser.error(str(exc))
+    return _check_word_caps(b, args, parser)
+
+
+def _check_word_caps(b: BraidWord, args, parser) -> BraidWord:
+    """Reject a word over the --max-letters or --max-strands cap (exit 2)."""
     if b.crossings > args.max_letters:
         parser.error(
             f"braid has {b.crossings} letters, over the --max-letters budget {args.max_letters}"
@@ -502,8 +507,8 @@ def _invariants_payload(b: BraidWord, args) -> dict:
         "coefficients": {f"p{i}": str(q) for i, q in enumerate(dec.coeffs)},
     }
     if stats.components == 1:
-        payload["alexander"] = str(alexander(b))
-        payload["determinant"] = determinant(b)
+        payload["alexander"] = str(alexander(b, max_strands=args.max_strands))
+        payload["determinant"] = determinant(b, max_strands=args.max_strands)
     return payload
 
 
@@ -534,6 +539,7 @@ def _cmd_family(args, parser) -> int:
     if args.emit == "word":
         print(braid_text(b))
         return 0
+    _check_word_caps(b, args, parser)
     try:
         payload = _invariants_payload(b, args)
     except BudgetExceededError as exc:

@@ -37,9 +37,8 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable
 
-from .braid import BraidWord, braid_text, closure_stats, component_table
+from .braid import BraidWord, braid_text, closure_stats
 from .errors import BudgetExceededError
 from .poly import LaurentPoly1, LaurentPoly2, specialize
 
@@ -201,9 +200,29 @@ class _Budget:
 
 
 def _canonical_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The lexicographically least rotation, by Booth's O(L) least-rotation
+    algorithm (K. S. Booth, Inf. Process. Lett. 10, 1980): a failure function
+    over the doubled word, as in Knuth-Morris-Pratt, with ``k`` the start of
+    the least rotation seen so far."""
     if not letters:
         return letters
-    return min(letters[i:] + letters[:i] for i in range(len(letters)))
+    s = letters + letters
+    fail = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        c = s[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != s[k + i + 1]:
+            if c < s[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != s[k + i + 1]:  # here i == -1
+            if c < s[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return letters[k:] + letters[:k]
 
 
 def _simplify(word: tuple[int, ...], strands: int) -> tuple[tuple[int, ...], int]:
@@ -256,27 +275,41 @@ def _split_words(word, strands, k):
 
 
 def _walk_passes(word: tuple[int, ...], strands: int):
-    """Traversal of the closure: per component (ordered by smallest start
-    position), the sequence of (letter index, enters-left) crossing passes."""
-    b = BraidWord(strands, word)
-    stats = closure_stats(b)
-    table = component_table(b)
+    """Traversal of the closure in one left-to-right sweep.
+
+    Strands are named by their start position; ``at`` holds the strand at
+    each position.  Returns the crossing passes (letter index, enters-left)
+    per component, components ordered by smallest start position; for each
+    letter whether both of its strands lie on one component; and the
+    component count.
+    """
+    at = list(range(strands))
+    runs: list[list[tuple[int, bool]]] = [[] for _ in range(strands)]
+    pairs: list[tuple[int, int]] = []
+    for t, letter in enumerate(word):
+        k = abs(letter)
+        left, right = at[k - 1], at[k]
+        runs[left].append((t, True))
+        runs[right].append((t, False))
+        pairs.append((left, right))
+        at[k - 1], at[k] = right, left
+    exit_of = [0] * strands
+    for q, s in enumerate(at):
+        exit_of[s] = q
+    comp = [0] * strands
+    ncomps = 0
     passes: list[tuple[int, bool]] = []
-    for comp in range(1, stats.components + 1):
-        start = stats.component_map.index(comp) + 1
-        p = start
-        while True:
-            for t, letter in enumerate(word):
-                k = abs(letter)
-                if p == k:
-                    passes.append((t, True))
-                    p = k + 1
-                elif p == k + 1:
-                    passes.append((t, False))
-                    p = k
-            if p == start:
-                break
-    return passes, table, stats.components
+    for start in range(strands):
+        if comp[start]:
+            continue
+        ncomps += 1
+        s = start
+        while not comp[s]:
+            comp[s] = ncomps
+            passes += runs[s]
+            s = exit_of[s]
+    self_flags = [comp[left] == comp[right] for left, right in pairs]
+    return passes, self_flags, ncomps
 
 
 _P0_MEMO: dict = {}
@@ -301,7 +334,7 @@ def _p0_solve(word: tuple[int, ...], strands: int, budget: _Budget) -> dict:
     if hit is not None:
         return dict(hit)
     budget.spend()
-    passes, table, ncomps = _walk_passes(word, strands)
+    passes, self_flags, ncomps = _walk_passes(word, strands)
     cur = list(word)
     seen: set[int] = set()
     factor = {0: 1}
@@ -313,9 +346,7 @@ def _p0_solve(word: tuple[int, ...], strands: int, budget: _Budget) -> dict:
         positive = cur[t] > 0
         if (positive and enters_left) or (not positive and not enters_left):
             continue  # already crossed over on first visit
-        g = abs(cur[t])
-        self_crossing = table[t][g - 1] == table[t][g]
-        if self_crossing:
+        if self_flags[t]:
             sub = _p0_solve(tuple(cur[:t] + cur[t + 1:]), strands, budget)
             contrib = _mul1(factor, sub)
             _add_into(total, contrib, 2 if positive else 0, scale=1 if positive else -1)
@@ -342,7 +373,7 @@ def _homfly_solve(word: tuple[int, ...], strands: int, budget: _Budget) -> dict:
     if hit is not None:
         return dict(hit)
     budget.spend()
-    passes, _table, ncomps = _walk_passes(word, strands)
+    passes, _self_flags, ncomps = _walk_passes(word, strands)
     cur = list(word)
     seen: set[int] = set()
     factor = {(0, 0): 1}
@@ -487,21 +518,21 @@ def p0(
     return coefficient_polys(P, comps).coeffs[0]
 
 
-def alexander(b: BraidWord) -> LaurentPoly1:
+def alexander(b: BraidWord, *, max_strands: int = 8) -> LaurentPoly1:
     """Alexander polynomial of a knot closure, symmetric with value 1 at 1."""
     stats = closure_stats(b)
     if stats.components != 1:
         raise ValueError(f"closure has {stats.components} components, not a knot")
-    P = homfly(b)
+    P = homfly(b, max_strands=max_strands)
     a = specialize(specialize(P, "v_to_1"), "z2_to_t")
     if any(a.coeff(-e) != c for e, c in a.terms.items()) or a.evaluate(1) != 1:
         raise AssertionError("Alexander normalization violated; engine bug")
     return a
 
 
-def determinant(b: BraidWord) -> int:
+def determinant(b: BraidWord, *, max_strands: int = 8) -> int:
     """Knot determinant |Delta(-1)|."""
-    value = alexander(b).evaluate(Fraction(-1))
+    value = alexander(b, max_strands=max_strands).evaluate(Fraction(-1))
     if value.denominator != 1:
         raise AssertionError(f"Alexander polynomial at -1 is {value}, not an integer")
     return abs(int(value))

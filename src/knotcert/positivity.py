@@ -152,7 +152,7 @@ def ito_obstruction(
     if negatives:
         z_exp, _, a_exp, coeff = min(negatives)
         witness = (a_exp, z_exp, coeff)
-    alex_degree = alexander(b).degree
+    alex_degree = alexander(b, max_strands=max_strands).degree
     return ItoVerdict(
         genus=genus,
         tilde_poly=tilde,

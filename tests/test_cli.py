@@ -89,6 +89,15 @@ class TestVerify:
         assert code == 0
         assert "[unknown] ito-kn-n3" in out
 
+    @pytest.mark.usefixtures("fresh_memos")
+    def test_genus_respects_strand_cap(self, capsys):
+        # beta_2 has 4 strands, so its Hecke HOMFLY is over a cap of 2
+        code, out, _ = run(capsys, "verify", "genus", "--n", "2", "--max-strands", "2", "--json")
+        assert code == 0
+        entry = json.loads(out)["entries"][0]
+        assert entry["status"] == "skipped"
+        assert "4 strands" in entry["computed"]
+
     def test_genus_odd_rejected(self):
         with pytest.raises(SystemExit) as err:
             main(["verify", "genus", "--n", "3"])
@@ -232,6 +241,12 @@ class TestFamily:
     def test_bad_parameter_rejected(self):
         with pytest.raises(SystemExit) as err:
             main(["family", "kn", "--n", "0"])
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("cap", [["--max-letters", "1"], ["--max-strands", "2"]])
+    def test_invariants_respect_word_caps(self, cap):
+        with pytest.raises(SystemExit) as err:
+            main(["family", "beta", "--n", "2", "--emit", "invariants", "--no-cache", *cap])
         assert err.value.code == 2
 
 

@@ -1,4 +1,3 @@
-import importlib
 import random
 
 import pytest
@@ -6,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from knotcert.braid import (
     BraidWord,
+    braid_text,
     closure_stats,
+    component_table,
     compose,
     conjugate,
     inverse,
@@ -16,6 +17,8 @@ from knotcert.braid import (
 from knotcert.errors import BudgetExceededError
 from knotcert.homfly import (
     PolynomialCache,
+    _canonical_rotation,
+    _walk_passes,
     alexander,
     canonical_key,
     coefficient_polys,
@@ -162,15 +165,8 @@ class TestAlexander:
         assert alexander(kn_braid(2)).degree == 6
 
 
+@pytest.mark.usefixtures("fresh_memos")
 class TestBudgets:
-    @pytest.fixture(autouse=True)
-    def fresh_memos(self, monkeypatch):
-        # a budget counts resolver nodes, and a node another test memoized
-        # costs none, so these tests start from empty memos
-        engine = importlib.import_module("knotcert.homfly")
-        monkeypatch.setattr(engine, "_P0_MEMO", {})
-        monkeypatch.setattr(engine, "_HOMFLY_WALK_MEMO", {})
-
     def test_hecke_strand_guard(self):
         wide = BraidWord(9, (1,))
         with pytest.raises(BudgetExceededError):
@@ -193,6 +189,104 @@ class TestBudgets:
         comps = closure_stats(b).components
         want = coefficient_polys(hecke_homfly(b), comps).coeffs[0]
         assert p0(b, node_budget=2, fallback=True) == want
+
+
+BETA_P0_NODES = [(2, 20), (3, 194), (4, 1_950)]  # p0(beta_5) takes 20,557
+
+
+@pytest.mark.usefixtures("fresh_memos")
+class TestWorkCounts:
+    """Resolver node counts from empty memos: exact work, the regression
+    signal for resolver speed-ups, which must not change the work done."""
+
+    @pytest.mark.parametrize("n, nodes", BETA_P0_NODES)
+    def test_p0_beta_nodes_suffice(self, n, nodes):
+        top = p0(kn_braid(n), node_budget=nodes, fallback=False).top_term()
+        assert top == (3 * n * n + 3 * n, (-1) ** n)
+
+    @pytest.mark.parametrize("n, nodes", BETA_P0_NODES)
+    def test_p0_beta_one_node_short(self, n, nodes):
+        with pytest.raises(BudgetExceededError) as err:
+            p0(kn_braid(n), node_budget=nodes - 1, fallback=False)
+        assert err.value.spent == nodes - 1
+
+    def test_skein_beta2_nodes(self):
+        assert skein_homfly(kn_braid(2), node_budget=203) == hecke_homfly(kn_braid(2))
+
+    def test_skein_beta2_one_node_short(self):
+        with pytest.raises(BudgetExceededError) as err:
+            skein_homfly(kn_braid(2), node_budget=202)
+        assert err.value.spent == 202
+
+
+def _reference_walk(word, strands):
+    """The walk as first written, kept as the reference: closure permutation
+    and component table from braid.py, then one pass over the word per
+    strand of each component."""
+    b = BraidWord(strands, word)
+    stats = closure_stats(b)
+    table = component_table(b)
+    passes = []
+    for comp in range(1, stats.components + 1):
+        start = stats.component_map.index(comp) + 1
+        p = start
+        while True:
+            for t, letter in enumerate(word):
+                k = abs(letter)
+                if p == k:
+                    passes.append((t, True))
+                    p = k + 1
+                elif p == k + 1:
+                    passes.append((t, False))
+                    p = k
+            if p == start:
+                break
+    flags = [table[t][abs(x) - 1] == table[t][abs(x)] for t, x in enumerate(word)]
+    return passes, flags, stats.components
+
+
+def _least_rotation(letters):
+    return min((letters[i:] + letters[:i] for i in range(len(letters))), default=letters)
+
+
+def _reference_key(b):
+    return braid_text(BraidWord(b.strands, _least_rotation(b.letters)))
+
+
+def periodic_words(max_strands=6, max_len=16):
+    """Words and repeated words: repeats give periodic rotations and
+    multi-component closures."""
+    return st.tuples(words(max_strands, max_len), st.integers(1, 3)).map(
+        lambda bt: BraidWord(bt[0].strands, bt[0].letters * bt[1])
+    )
+
+
+class TestWalkAndRotation:
+    @settings(max_examples=300, deadline=None)
+    @given(periodic_words())
+    def test_walk_matches_reference(self, b):
+        assert _walk_passes(b.letters, b.strands) == _reference_walk(b.letters, b.strands)
+
+    def test_walk_reference_cases(self):
+        for b in (BraidWord(2, ()), BraidWord(4, ()), HOPF, BraidWord(4, (1, 3, 1, 3))):
+            assert _walk_passes(b.letters, b.strands) == _reference_walk(b.letters, b.strands)
+        assert _walk_passes((), 3) == ([], [], 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(periodic_words())
+    def test_rotation_is_least(self, b):
+        assert _canonical_rotation(b.letters) == _least_rotation(b.letters)
+        assert canonical_key(b) == _reference_key(b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from((1, 2, -1)), max_size=14).map(tuple))
+    def test_rotation_small_alphabet(self, letters):
+        # few distinct letters give many ties between rotations
+        assert _canonical_rotation(letters) == _least_rotation(letters)
+
+    def test_canonical_key_text(self):
+        assert canonical_key(BraidWord(3, (2, -1, 1, 2))) == "strands=3 -1 1 2 2"
+        assert canonical_key(BraidWord(3, ())) == "strands=3"
 
 
 class TestCanonicalKeyAndCache:
