@@ -35,9 +35,10 @@ from .dehornoy import DEFAULT_STEP_BUDGET, floor_exceeds_one
 from .errors import BraidError, BudgetExceededError
 from .homfly import (
     PolynomialCache,
+    _alexander_of,
+    _determinant_of,
     alexander,
     coefficient_polys,
-    determinant,
     homfly,
     p0,
 )
@@ -507,8 +508,9 @@ def _invariants_payload(b: BraidWord, args) -> dict:
         "coefficients": {f"p{i}": str(q) for i, q in enumerate(dec.coeffs)},
     }
     if stats.components == 1:
-        payload["alexander"] = str(alexander(b, max_strands=args.max_strands))
-        payload["determinant"] = determinant(b, max_strands=args.max_strands)
+        a = _alexander_of(P)  # from the engine's own P, not a second Hecke run
+        payload["alexander"] = str(a)
+        payload["determinant"] = _determinant_of(a)
     return payload
 
 

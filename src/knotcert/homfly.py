@@ -13,8 +13,8 @@ Engines:
 * Hecke trace (Morton-Short style).  The braid group maps into the Hecke
   algebra by sigma_k -> v T_k with T_k^2 = z T_k + 1; the closure value is a
   Markov trace evaluated by strand-by-strand reduction over the permutation
-  basis.  Polynomial cost in word length at fixed strand count; this is the
-  primary engine.
+  basis, each coefficient packed into one integer.  Polynomial cost in word
+  length at fixed strand count; this is the primary engine.
 * Descending-walk skein resolver.  Walks the closure once per component and
   forces every crossing to be crossed over on first visit, branching into a
   smoothed word at each violation; descending diagrams are unlinks.  Used as
@@ -111,75 +111,141 @@ def _pow2(base: dict, k: int) -> dict:
 
 # --------------------------------------------------------------------------
 # Hecke trace engine
+#
+# Coefficients are packed into one Python int each (Kronecker substitution;
+# D. Harvey, J. Symbolic Comput. 44, 2009), so sums and monomial shifts run
+# as C-level int adds and shifts.  Every letter contributes its v^+-1 to one
+# global factor v^writhe, so the multiply phase works in Z[z] with z^j at bit
+# B*j.  The close phase factors g = v^-1 z^-1 out of every level and packs
+# z^j (v^2)^i at slot j + Z*i, so every shift is nonnegative.
+#
+# Widths.  Each step maps a term to at most two terms with coefficient +-1,
+# so the l1 mass of the whole state at most doubles: once per letter, once
+# per level whose top strand is fixed (times 1 - v^2), and once per T
+# product, of which level m needs at most m - 2.  Every coefficient of every
+# basis word is therefore at most 2^(B - 2) in absolute value, a balanced
+# base-2^B digit.  The z-degree grows by at most one per letter and by at
+# most m - 1 at level m, so it stays below Z.  Packing is then injective on
+# every intermediate value, and a packed zero is a zero polynomial.
 
 
-def _hecke_mul_sigma(state: dict, k: int, positive: bool) -> dict:
-    """Right-multiply every basis term by the image of sigma_k^{+-1}.
+def _hecke_mul_T(state: dict, k: int, zshift: int, inverse: bool = False) -> dict:
+    """Right-multiply every basis term by T_k, or by T_k^-1 = T_k - z.
 
     Basis words are one-line permutation tuples; T_w T_k = T_{w s_k} on an
-    ascent at k and z T_w + T_{w s_k} on a descent.
+    ascent at k and z T_w + T_{w s_k} on a descent, so T_w T_k^-1 is
+    T_{w s_k} - z T_w on an ascent and T_{w s_k} on a descent.  Multiplying
+    a packed coefficient by z is a left shift by ``zshift`` bits.
     """
     i = k - 1
     nxt: dict = {}
-    for w, poly in state.items():
-        ws = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-        if positive:
-            _add_into(nxt.setdefault(ws, {}), poly, 1, 0)
-            if w[i] > w[i + 1]:
-                _add_into(nxt.setdefault(w, {}), poly, 1, 1)
-        else:
-            _add_into(nxt.setdefault(ws, {}), poly, -1, 0)
-            if w[i] < w[i + 1]:
-                _add_into(nxt.setdefault(w, {}), poly, -1, 1, -1)
+    get = nxt.get
+    for w, p in state.items():
+        a, b = w[i], w[i + 1]
+        ws = w[:i] + (b, a) + w[i + 2:]
+        nxt[ws] = get(ws, 0) + p
+        if inverse:
+            if a < b:
+                nxt[w] = get(w, 0) - (p << zshift)
+        elif a > b:
+            nxt[w] = get(w, 0) + (p << zshift)
     return {w: p for w, p in nxt.items() if p}
 
 
-def _hecke_mul_T(state: dict, k: int) -> dict:
-    i = k - 1
-    nxt: dict = {}
-    for w, poly in state.items():
-        ws = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-        _add_into(nxt.setdefault(ws, {}), poly, 0, 0)
-        if w[i] > w[i + 1]:
-            _add_into(nxt.setdefault(w, {}), poly, 0, 1)
-    return {w: p for w, p in nxt.items() if p}
-
-
-def _markov_close(state: dict, strands: int) -> dict:
+def _markov_close(state: dict, strands: int, bits: int, zslots: int) -> int:
     """Evaluate the Markov trace by closing strands from the top down.
 
     A basis word fixing the top strand restricts with a free-loop factor
-    delta; otherwise deleting the top value costs v^-1 and leaves a product
-    T_u T_{m-2} ... T_p to re-expand in the basis one strand lower.
+    delta = g (1 - v^2); otherwise deleting the top value costs
+    v^-1 = g z and leaves a product T_u T_{m-2} ... T_p to re-expand in the
+    basis one strand lower.  Returns the packed value with g^(strands - 1)
+    factored out.  Words whose top value sits at position p share the
+    product, so they are expanded together.
     """
+    vshift = bits * zslots
     for m in range(strands, 1, -1):
         nxt: dict = {}
-        for w, poly in state.items():
-            if w[m - 1] == m:
-                u = w[:m - 1]
-                _add_into(nxt.setdefault(u, {}), _mul2(poly, _DELTA), 0, 0)
+        by_pos: dict[int, dict] = {}
+        for w, p in state.items():
+            pos = w.index(m) + 1
+            u = w[:pos - 1] + w[pos:]
+            if pos == m:
+                nxt[u] = nxt.get(u, 0) + p - (p << vshift)
             else:
-                p = w.index(m) + 1
-                u = tuple(x for x in w if x != m)
-                tmp = {u: {(a - 1, b): c for (a, b), c in poly.items()}}
-                for k in range(m - 2, p - 1, -1):
-                    tmp = _hecke_mul_T(tmp, k)
-                for wu, pu in tmp.items():
-                    _add_into(nxt.setdefault(wu, {}), pu, 0, 0)
+                by_pos.setdefault(pos, {})[u] = p
+        for pos, tmp in by_pos.items():
+            for k in range(m - 2, pos - 1, -1):
+                tmp = _hecke_mul_T(tmp, k, bits)
+            for u, p in tmp.items():
+                nxt[u] = nxt.get(u, 0) + (p << bits)  # v^-1 = g z, applied last
         state = {w: p for w, p in nxt.items() if p}
-    return state.get((1,), {})
+    return state.get((1,), 0)
+
+
+def _unpack(packed: int, bits: int):
+    """Balanced base-2^bits digits of ``packed``: (slot, nonzero digit)."""
+    mask = (1 << bits) - 1
+    half = 1 << (bits - 1)
+    slot = 0
+    while packed:
+        d = packed & mask
+        if d >= half:
+            d -= 1 << bits
+        if d:
+            yield slot, d
+        packed = (packed - d) >> bits
+        slot += 1
+
+
+def _check_unit_identity(P: LaurentPoly2, components: int) -> None:
+    """Raise unless z^(c-1) P(v, v^-1 - v) = (v^-1 - v)^(c-1).
+
+    For a knot this says P(v, v^-1 - v) = 1; it holds for every link in this
+    sign convention.  A cheap exact check on every Hecke result, so a
+    packing fault that breaks it raises instead of returning a value.
+    """
+    s = {-1: 1, 1: -1}  # v^-1 - v
+    rows: dict[int, dict] = {}
+    for (a, j), c in P.terms.items():
+        if j < 1 - components:
+            raise ArithmeticError(f"HOMFLY term z^{j} below z^{1 - components}; engine fault")
+        rows.setdefault(j + components - 1, {})[a] = c
+    total: dict = {}
+    power = {0: 1}
+    for j in range(max(rows, default=-1) + 1):
+        if j in rows:
+            _add_into(total, _mul1(rows[j], power))
+        power = _mul1(power, s)
+    if total != _pow1(s, components - 1):
+        raise ArithmeticError("HOMFLY polynomial fails P(v, v^-1 - v) = 1; engine fault")
+
+
+def _check_hecke_cap(strands: int, max_strands: int) -> None:
+    if strands > max_strands:
+        raise BudgetExceededError(
+            f"{strands} strands exceeds the Hecke budget of {max_strands}"
+        )
 
 
 def hecke_homfly(b: BraidWord, *, max_strands: int = 8) -> LaurentPoly2:
     """HOMFLY polynomial of the closure via the Hecke-algebra Markov trace."""
-    if b.strands > max_strands:
-        raise BudgetExceededError(
-            f"{b.strands} strands exceeds the Hecke budget of {max_strands}"
-        )
-    state = {tuple(range(1, b.strands + 1)): {(0, 0): 1}}
+    _check_hecke_cap(b.strands, max_strands)
+    n, letters = b.strands, len(b.letters)
+    # proven widths B and Z, see the note above _hecke_mul_T
+    bits = letters + sum(max(1, m - 2) for m in range(2, n + 1)) + 2
+    zslots = letters + n * (n - 1) // 2 + 1
+    state = {tuple(range(1, n + 1)): 1}
     for letter in b.letters:
-        state = _hecke_mul_sigma(state, abs(letter), letter > 0)
-    return LaurentPoly2(("v", "z"), _markov_close(state, b.strands))
+        state = _hecke_mul_T(state, abs(letter), bits, letter < 0)
+    packed = _markov_close(state, n, bits, zslots)
+    v0 = b.exponent_sum - (n - 1)
+    terms = {
+        (v0 + 2 * (slot // zslots), slot % zslots - (n - 1)): c
+        for slot, c in _unpack(packed, bits)
+    }
+    P = LaurentPoly2(("v", "z"), terms)
+    _check_unit_identity(P, closure_stats(b).components)
+    return P
 
 
 # --------------------------------------------------------------------------
@@ -439,6 +505,8 @@ def homfly(
     """
     if engine not in ("hecke", "skein"):
         raise ValueError(f"unknown engine {engine!r}")
+    if engine == "hecke":
+        _check_hecke_cap(b.strands, max_strands)  # before the memo and cache
     key = (engine, canonical_key(b))
     with _MEMO_LOCK:
         hit = _HOMFLY_MEMO.get(key)
@@ -518,24 +586,33 @@ def p0(
     return coefficient_polys(P, comps).coeffs[0]
 
 
-def alexander(b: BraidWord, *, max_strands: int = 8) -> LaurentPoly1:
-    """Alexander polynomial of a knot closure, symmetric with value 1 at 1."""
-    stats = closure_stats(b)
-    if stats.components != 1:
-        raise ValueError(f"closure has {stats.components} components, not a knot")
-    P = homfly(b, max_strands=max_strands)
+def _alexander_of(P: LaurentPoly2) -> LaurentPoly1:
+    """Alexander polynomial of a knot from its HOMFLY polynomial."""
     a = specialize(specialize(P, "v_to_1"), "z2_to_t")
     if any(a.coeff(-e) != c for e, c in a.terms.items()) or a.evaluate(1) != 1:
         raise AssertionError("Alexander normalization violated; engine bug")
     return a
 
 
-def determinant(b: BraidWord, *, max_strands: int = 8) -> int:
-    """Knot determinant |Delta(-1)|."""
-    value = alexander(b, max_strands=max_strands).evaluate(Fraction(-1))
+def _determinant_of(a: LaurentPoly1) -> int:
+    """Knot determinant |Delta(-1)| from the Alexander polynomial."""
+    value = a.evaluate(Fraction(-1))
     if value.denominator != 1:
         raise AssertionError(f"Alexander polynomial at -1 is {value}, not an integer")
     return abs(int(value))
+
+
+def alexander(b: BraidWord, *, max_strands: int = 8) -> LaurentPoly1:
+    """Alexander polynomial of a knot closure, symmetric with value 1 at 1."""
+    stats = closure_stats(b)
+    if stats.components != 1:
+        raise ValueError(f"closure has {stats.components} components, not a knot")
+    return _alexander_of(homfly(b, max_strands=max_strands))
+
+
+def determinant(b: BraidWord, *, max_strands: int = 8) -> int:
+    """Knot determinant |Delta(-1)|."""
+    return _determinant_of(alexander(b, max_strands=max_strands))
 
 
 # --------------------------------------------------------------------------

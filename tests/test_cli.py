@@ -98,6 +98,18 @@ class TestVerify:
         assert entry["status"] == "skipped"
         assert "4 strands" in entry["computed"]
 
+    @pytest.mark.usefixtures("fresh_memos")
+    def test_strand_cap_holds_after_memo_fill(self, capsys):
+        # the first run memoizes beta_2's HOMFLY; the cap must still bite
+        code, out, _ = run(capsys, "verify", "genus", "--n", "2", "--json")
+        assert code == 0
+        assert json.loads(out)["entries"][0]["status"] == "pass"
+        code, out, _ = run(capsys, "verify", "genus", "--n", "2", "--max-strands", "2", "--json")
+        assert code == 0
+        entry = json.loads(out)["entries"][0]
+        assert entry["status"] == "skipped"
+        assert "4 strands" in entry["computed"]
+
     def test_genus_odd_rejected(self):
         with pytest.raises(SystemExit) as err:
             main(["verify", "genus", "--n", "3"])
@@ -209,6 +221,27 @@ class TestInvariants:
             "invariants", "--braid", "1 1 1 1 1", "--engine", "skein", "--json", "--no-cache",
         )
         assert json.loads(out_h)["homfly"] == json.loads(out_s)["homfly"]
+
+    @pytest.mark.usefixtures("fresh_memos")
+    def test_skein_engine_runs_no_hecke(self, capsys, monkeypatch):
+        import importlib
+
+        engine = importlib.import_module("knotcert.homfly")
+        calls = []
+
+        def counting(b, **kw):
+            calls.append(b)
+            return hecke(b, **kw)
+
+        hecke = engine.hecke_homfly
+        monkeypatch.setattr(engine, "hecke_homfly", counting)
+        argv = ("invariants", "--braid", "1 1 1", "--json", "--no-cache")
+        _, out_s, _ = run(capsys, *argv, "--engine", "skein")
+        assert calls == []
+        _, out_h, _ = run(capsys, *argv, "--engine", "hecke")
+        assert len(calls) == 1
+        assert json.loads(out_s) == json.loads(out_h)
+        assert json.loads(out_s)["determinant"] == 3
 
     def test_word_length_cap(self):
         with pytest.raises(SystemExit) as err:

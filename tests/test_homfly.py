@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -16,8 +18,12 @@ from knotcert.braid import (
 )
 from knotcert.errors import BudgetExceededError
 from knotcert.homfly import (
+    _DELTA,
     PolynomialCache,
+    _add_into,
     _canonical_rotation,
+    _check_unit_identity,
+    _mul2,
     _walk_passes,
     alexander,
     canonical_key,
@@ -287,6 +293,115 @@ class TestWalkAndRotation:
     def test_canonical_key_text(self):
         assert canonical_key(BraidWord(3, (2, -1, 1, 2))) == "strands=3 -1 1 2 2"
         assert canonical_key(BraidWord(3, ())) == "strands=3"
+
+
+def _reference_mul_sigma(state, k, positive):
+    """The dict Hecke engine as first written, kept as the reference: every
+    basis word carries a {(v, z): c} coefficient dict."""
+    i = k - 1
+    nxt = {}
+    for w, poly in state.items():
+        ws = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+        if positive:
+            _add_into(nxt.setdefault(ws, {}), poly, 1, 0)
+            if w[i] > w[i + 1]:
+                _add_into(nxt.setdefault(w, {}), poly, 1, 1)
+        else:
+            _add_into(nxt.setdefault(ws, {}), poly, -1, 0)
+            if w[i] < w[i + 1]:
+                _add_into(nxt.setdefault(w, {}), poly, -1, 1, -1)
+    return {w: p for w, p in nxt.items() if p}
+
+
+def _reference_mul_T(state, k):
+    i = k - 1
+    nxt = {}
+    for w, poly in state.items():
+        ws = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+        _add_into(nxt.setdefault(ws, {}), poly, 0, 0)
+        if w[i] > w[i + 1]:
+            _add_into(nxt.setdefault(w, {}), poly, 0, 1)
+    return {w: p for w, p in nxt.items() if p}
+
+
+def _reference_close(state, strands):
+    for m in range(strands, 1, -1):
+        nxt = {}
+        for w, poly in state.items():
+            if w[m - 1] == m:
+                _add_into(nxt.setdefault(w[:m - 1], {}), _mul2(poly, _DELTA), 0, 0)
+            else:
+                p = w.index(m) + 1
+                u = tuple(x for x in w if x != m)
+                tmp = {u: {(a - 1, b): c for (a, b), c in poly.items()}}
+                for k in range(m - 2, p - 1, -1):
+                    tmp = _reference_mul_T(tmp, k)
+                for wu, pu in tmp.items():
+                    _add_into(nxt.setdefault(wu, {}), pu, 0, 0)
+        state = {w: p for w, p in nxt.items() if p}
+    return state.get((1,), {})
+
+
+def _reference_hecke(b):
+    state = {tuple(range(1, b.strands + 1)): {(0, 0): 1}}
+    for letter in b.letters:
+        state = _reference_mul_sigma(state, abs(letter), letter > 0)
+    return LaurentPoly2(("v", "z"), _reference_close(state, b.strands))
+
+
+def hecke_words(max_strands=6, max_len=12):
+    """Words on 1-6 strands: mixed-sign, all-negative and empty ones."""
+    def on(n):
+        if n == 1:
+            return st.just(BraidWord(1, ()))
+        mixed = [i for i in range(-(n - 1), n) if i]
+        negative = list(range(-(n - 1), 0))
+        return st.one_of(st.lists(st.sampled_from(mixed), max_size=max_len),
+                         st.lists(st.sampled_from(negative), max_size=max_len)
+                         ).map(lambda ls: BraidWord(n, tuple(ls)))
+    return st.integers(1, max_strands).flatmap(on)
+
+
+# sha256 of json.dumps(P.to_triples()) for beta_n, with its term count
+BETA_HOMFLY_PINS = [
+    (2, 19, "6c802a7a740ff2cedd7c57a903ced8d2c7c783f7af893cfe6fb51ea75a948c87"),
+    (3, 51, "6733477ba3b9f956a018c720ff34fb8517d8a51d8bef3780d488ca2c0ad3b58c"),
+    (4, 112, "6b2f55b5001160ef48f6c050ed86895a10e22e160c3e241c6d6f8df012a75778"),
+]
+
+
+class TestPackedHecke:
+    """The packed-integer Hecke engine against the dict engine it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hecke_words())
+    def test_matches_dict_engine(self, b):
+        assert hecke_homfly(b) == _reference_hecke(b)
+
+    @pytest.mark.parametrize("b", [
+        BraidWord(1, ()), BraidWord(2, ()), BraidWord(6, ()),
+        BraidWord(2, (1,) * 40), BraidWord(2, (-1,) * 40),
+        BraidWord(6, (-5, -4, -3, -2, -1) * 3), BraidWord(3, (1, -2) * 20),
+    ])
+    def test_matches_dict_engine_edges(self, b):
+        assert hecke_homfly(b) == _reference_hecke(b)
+
+    @pytest.mark.parametrize("n, terms, digest", BETA_HOMFLY_PINS)
+    def test_beta_pins(self, n, terms, digest):
+        P = hecke_homfly(kn_braid(n))
+        assert len(P.terms) == terms
+        assert hashlib.sha256(json.dumps(P.to_triples()).encode()).hexdigest() == digest
+
+    def test_unit_identity_rejects_planted_value(self):
+        with pytest.raises(ArithmeticError):
+            _check_unit_identity(P([[7, 7, 7]]), 1)
+        with pytest.raises(ArithmeticError):
+            _check_unit_identity(P([[2, 0, 2], [4, 0, -1], [2, 2, 2]]), 1)
+        with pytest.raises(ArithmeticError):
+            _check_unit_identity(homfly(HOPF), 1)  # z^-1 term on a "knot"
+        _check_unit_identity(homfly(TREFOIL), 1)
+        _check_unit_identity(homfly(HOPF), 2)
+        _check_unit_identity(homfly(BraidWord(3, ())), 3)
 
 
 class TestCanonicalKeyAndCache:
