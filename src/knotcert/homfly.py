@@ -17,9 +17,10 @@ Engines:
   length at fixed strand count; this is the primary engine.
 * Descending-walk skein resolver.  Walks the closure once per component and
   forces every crossing to be crossed over on first visit, branching into a
-  smoothed word at each violation; descending diagrams are unlinks.  Used as
-  an independent oracle and, specialized to the zeroth coefficient
-  polynomial, as the fast path of :func:`p0`.
+  smoothed word at each violation; descending diagrams are unlinks.  One
+  resolver runs under two rule rows: the HOMFLY row is an independent
+  oracle, the p0 row the fast path of :func:`p0`.  Both rows work on Laurent
+  dicts with int keys; the HOMFLY row packs v^a z^b into one key.
 
 The zeroth coefficient polynomial p^0 is the i = 0 entry of the expansion
 P = (v^-1 z)^(1 - c) * sum_i p^i(v) z^(2i).  Its dedicated skein rules need
@@ -55,26 +56,17 @@ __all__ = [
     "PolynomialCache",
 ]
 
-_DELTA = {(-1, -1): 1, (1, -1): -1}
-
 
 # --------------------------------------------------------------------------
-# raw sparse-dict arithmetic (hot paths avoid dataclass churn)
+# raw int-keyed Laurent dict arithmetic (hot paths avoid dataclass churn)
 
 
-def _add_into(dst: dict, src: dict, de1: int = 0, de2: int | None = None, scale: int = 1) -> None:
-    if de2 is None:
-        for e, c in src.items():
-            k = e + de1
-            dst[k] = dst.get(k, 0) + c * scale
-            if not dst[k]:
-                del dst[k]
-    else:
-        for (a, b), c in src.items():
-            k = (a + de1, b + de2)
-            dst[k] = dst.get(k, 0) + c * scale
-            if not dst[k]:
-                del dst[k]
+def _add_into(dst: dict, src: dict, shift: int = 0, scale: int = 1) -> None:
+    for e, c in src.items():
+        k = e + shift
+        dst[k] = dst.get(k, 0) + c * scale
+        if not dst[k]:
+            del dst[k]
 
 
 def _mul1(a: dict, b: dict) -> dict:
@@ -86,26 +78,10 @@ def _mul1(a: dict, b: dict) -> dict:
     return {k: c for k, c in out.items() if c}
 
 
-def _mul2(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for (a1, b1), c1 in a.items():
-        for (a2, b2), c2 in b.items():
-            k = (a1 + a2, b1 + b2)
-            out[k] = out.get(k, 0) + c1 * c2
-    return {k: c for k, c in out.items() if c}
-
-
 def _pow1(base: dict, k: int) -> dict:
     out = {0: 1}
     for _ in range(k):
         out = _mul1(out, base)
-    return out
-
-
-def _pow2(base: dict, k: int) -> dict:
-    out = {(0, 0): 1}
-    for _ in range(k):
-        out = _mul2(out, base)
     return out
 
 
@@ -201,8 +177,9 @@ def _check_unit_identity(P: LaurentPoly2, components: int) -> None:
     """Raise unless z^(c-1) P(v, v^-1 - v) = (v^-1 - v)^(c-1).
 
     For a knot this says P(v, v^-1 - v) = 1; it holds for every link in this
-    sign convention.  A cheap exact check on every Hecke result, so a
-    packing fault that breaks it raises instead of returning a value.
+    sign convention.  A cheap exact check on every engine result and cache
+    record, so a packing fault that breaks it raises instead of returning a
+    value.
     """
     s = {-1: 1, 1: -1}  # v^-1 - v
     rows: dict[int, dict] = {}
@@ -249,7 +226,7 @@ def hecke_homfly(b: BraidWord, *, max_strands: int = 8) -> LaurentPoly2:
 
 
 # --------------------------------------------------------------------------
-# descending-walk skein engines
+# descending-walk skein resolver: one walk, one rule row per ring
 
 
 class _Budget:
@@ -382,87 +359,60 @@ _P0_MEMO: dict = {}
 _HOMFLY_WALK_MEMO: dict = {}
 _MEMO_LOCK = threading.Lock()
 
-_P0_SPLIT = {-2: 1, 0: -1}  # v^-2 - 1
+# The HOMFLY row packs v^a z^b into the int key a + _ZKEY*b, so a monomial
+# product is a key sum; injective while |a| < 2^31.  A node value is the
+# HOMFLY polynomial of a braid closure with at most L letters on n strands,
+# so |a| <= L + n - 1 (Morton-Franks-Williams); the running shift (at most
+# 2L) and a smoothing term keep every intermediate value at |a| <= 3L + n - 1.
+_ZKEY = 1 << 32
+
+# rule rows: (unlink/split factor, positive smoothing term (shift, sign),
+# negative smoothing term (shift, sign), whether a mixed crossing branches);
+# p0: v^-2 - 1, v^2, -1, no; HOMFLY: delta = (v^-1 - v) z^-1, v z, -v^-1 z, yes
+_P0_RULES = ({-2: 1, 0: -1}, (2, 1), (0, -1), False)
+_HOMFLY_RULES = ({-1 - _ZKEY: 1, 1 - _ZKEY: -1}, (1 + _ZKEY, 1), (_ZKEY - 1, -1), True)
 
 
-def _p0_solve(word: tuple[int, ...], strands: int, budget: _Budget) -> dict:
+def _resolve(word: tuple, strands: int, budget: _Budget, rules: tuple, memo: dict) -> dict:
+    """Descending walk under one rule row: each crossing first met from below
+    is switched, adding its smoothing where the row says so, until the word
+    is an unlink; the running factor is the monomial v^shift."""
+    split, plus, minus, mixed_branches = rules
     word, strands = _simplify(word, strands)
     if not word:
-        return _pow1(_P0_SPLIT, strands - 1)
+        return _pow1(split, strands - 1)
     k = _find_split(word, strands)
     if k is not None:
         (lw, ls), (rw, rs) = _split_words(word, strands, k)
-        prod = _mul1(_p0_solve(lw, ls, budget), _p0_solve(rw, rs, budget))
-        return _mul1(prod, _P0_SPLIT)
+        prod = _mul1(_resolve(lw, ls, budget, rules, memo), _resolve(rw, rs, budget, rules, memo))
+        return _mul1(prod, split)
     key = (strands, _canonical_rotation(word))
     with _MEMO_LOCK:
-        hit = _P0_MEMO.get(key)
+        hit = memo.get(key)
     if hit is not None:
         return dict(hit)
     budget.spend()
     passes, self_flags, ncomps = _walk_passes(word, strands)
     cur = list(word)
     seen: set[int] = set()
-    factor = {0: 1}
+    shift = 0
     total: dict = {}
     for t, enters_left in passes:
         if t in seen:
             continue
         seen.add(t)
         positive = cur[t] > 0
-        if (positive and enters_left) or (not positive and not enters_left):
+        if positive == enters_left:
             continue  # already crossed over on first visit
-        if self_flags[t]:
-            sub = _p0_solve(tuple(cur[:t] + cur[t + 1:]), strands, budget)
-            contrib = _mul1(factor, sub)
-            _add_into(total, contrib, 2 if positive else 0, scale=1 if positive else -1)
-        factor = {e + (2 if positive else -2): c for e, c in factor.items()}
+        if mixed_branches or self_flags[t]:
+            sub = _resolve(tuple(cur[:t] + cur[t + 1:]), strands, budget, rules, memo)
+            de, sign = plus if positive else minus
+            _add_into(total, sub, shift + de, sign)
+        shift += 2 if positive else -2
         cur[t] = -cur[t]
-    _add_into(total, _mul1(factor, _pow1(_P0_SPLIT, ncomps - 1)))
+    _add_into(total, _pow1(split, ncomps - 1), shift)
     with _MEMO_LOCK:
-        _P0_MEMO[key] = dict(total)
-    return total
-
-
-def _homfly_solve(word: tuple[int, ...], strands: int, budget: _Budget) -> dict:
-    word, strands = _simplify(word, strands)
-    if not word:
-        return _pow2(_DELTA, strands - 1)
-    k = _find_split(word, strands)
-    if k is not None:
-        (lw, ls), (rw, rs) = _split_words(word, strands, k)
-        prod = _mul2(_homfly_solve(lw, ls, budget), _homfly_solve(rw, rs, budget))
-        return _mul2(prod, _DELTA)
-    key = (strands, _canonical_rotation(word))
-    with _MEMO_LOCK:
-        hit = _HOMFLY_WALK_MEMO.get(key)
-    if hit is not None:
-        return dict(hit)
-    budget.spend()
-    passes, _self_flags, ncomps = _walk_passes(word, strands)
-    cur = list(word)
-    seen: set[int] = set()
-    factor = {(0, 0): 1}
-    total: dict = {}
-    for t, enters_left in passes:
-        if t in seen:
-            continue
-        seen.add(t)
-        positive = cur[t] > 0
-        if (positive and enters_left) or (not positive and not enters_left):
-            continue
-        sub = _homfly_solve(tuple(cur[:t] + cur[t + 1:]), strands, budget)
-        contrib = _mul2(factor, sub)
-        if positive:
-            _add_into(total, contrib, 1, 1)
-            factor = {(a + 2, b): c for (a, b), c in factor.items()}
-        else:
-            _add_into(total, contrib, -1, 1, -1)
-            factor = {(a - 2, b): c for (a, b), c in factor.items()}
-        cur[t] = -cur[t]
-    _add_into(total, _mul2(factor, _pow2(_DELTA, ncomps - 1)), 0, 0)
-    with _MEMO_LOCK:
-        _HOMFLY_WALK_MEMO[key] = dict(total)
+        memo[key] = dict(total)
     return total
 
 
@@ -473,7 +423,15 @@ def skein_homfly(b: BraidWord, *, node_budget: int = 200_000) -> LaurentPoly2:
     by ``node_budget`` resolver nodes.
     """
     budget = _Budget(node_budget)
-    return LaurentPoly2(("v", "z"), _homfly_solve(b.letters, b.strands, budget))
+    packed = _resolve(b.letters, b.strands, budget, _HOMFLY_RULES, _HOMFLY_WALK_MEMO)
+    half = _ZKEY >> 1
+    terms = {}
+    for e, c in packed.items():
+        zexp, a = divmod(e + half, _ZKEY)
+        terms[(a - half, zexp)] = c
+    P = LaurentPoly2(("v", "z"), terms)
+    _check_unit_identity(P, closure_stats(b).components)
+    return P
 
 
 # --------------------------------------------------------------------------
@@ -501,7 +459,8 @@ def homfly(
 
     ``engine`` selects "hecke" (primary) or "skein" (oracle).  Results are
     memoized per engine under the canonical rotation key; ``cache``, when
-    given, persists Hecke results across processes.
+    given, persists Hecke results across processes, and a record read back
+    that fails the unit identity is a miss.
     """
     if engine not in ("hecke", "skein"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -514,6 +473,11 @@ def homfly(
         return hit
     if cache is not None and engine == "hecke":
         cached = cache.get(key[1])
+        if cached is not None:
+            try:
+                _check_unit_identity(cached, closure_stats(b).components)
+            except ArithmeticError:
+                cached = None  # a record failing the identity is a miss
         if cached is not None:
             with _MEMO_LOCK:
                 _HOMFLY_MEMO[key] = cached
@@ -577,7 +541,7 @@ def p0(
     """
     try:
         budget = _Budget(node_budget)
-        return LaurentPoly1("v", _p0_solve(b.letters, b.strands, budget))
+        return LaurentPoly1("v", _resolve(b.letters, b.strands, budget, _P0_RULES, _P0_MEMO))
     except BudgetExceededError:
         if not fallback:
             raise
@@ -655,8 +619,8 @@ class PolynomialCache:
 
     def put(self, key: str, strands: int, poly: LaurentPoly2, algorithm: str) -> None:
         with self._lock:
-            if key in self._memory:
-                return
+            if self._memory.get(key) == poly:
+                return  # a differing record is replaced; the last line wins on load
             self._memory[key] = poly
             record = {
                 "word": key,

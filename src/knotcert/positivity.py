@@ -23,7 +23,7 @@ from .braid import (
     kn_plus_braid,
 )
 from .errors import BraidError, BudgetExceededError
-from .homfly import alexander, homfly, p0
+from .homfly import _alexander_of, homfly, p0
 from .poly import LaurentPoly1, LaurentPoly2, specialize
 
 __all__ = [
@@ -152,7 +152,7 @@ def ito_obstruction(
     if negatives:
         z_exp, _, a_exp, coeff = min(negatives)
         witness = (a_exp, z_exp, coeff)
-    alex_degree = alexander(b, max_strands=max_strands).degree
+    alex_degree = _alexander_of(P).degree  # from this engine's P, not a second run
     return ItoVerdict(
         genus=genus,
         tilde_poly=tilde,

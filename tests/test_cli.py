@@ -1,8 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
 from knotcert.cli import default_cache_path, main
+
+# sha256 of the `verify all --level desk --json` entries without `seconds`
+DESK_DIGEST = "6a4b3350c9df4cc9836f3e0a2e8b91bd24d48f4874260d0699df0447c061817e"
 
 
 def run(capsys, *argv):
@@ -57,6 +61,16 @@ class TestVerify:
             "lspace": 101, "slopes": 51, "traintrack": 6, "dehornoy": 4, "sharpness": 4,
             "ito": 3, "decomposition": 2, "topterm": 2, "genus": 1,
         }
+
+    def test_verify_all_desk_digest(self, capsys):
+        # pins every desk claim's status, statement and computed value
+        code, out, _ = run(capsys, "verify", "all", "--level", "desk", "--json")
+        assert code == 0
+        entries = [
+            {k: v for k, v in e.items() if k != "seconds"} for e in json.loads(out)["entries"]
+        ]
+        digest = hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
+        assert digest == DESK_DIGEST
 
     @pytest.mark.parametrize(
         "argv",

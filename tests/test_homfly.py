@@ -1,9 +1,10 @@
 import hashlib
+import importlib
 import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knotcert.braid import (
     BraidWord,
@@ -18,12 +19,9 @@ from knotcert.braid import (
 )
 from knotcert.errors import BudgetExceededError
 from knotcert.homfly import (
-    _DELTA,
     PolynomialCache,
-    _add_into,
     _canonical_rotation,
     _check_unit_identity,
-    _mul2,
     _walk_passes,
     alexander,
     canonical_key,
@@ -35,6 +33,8 @@ from knotcert.homfly import (
     skein_homfly,
 )
 from knotcert.poly import LaurentPoly1, LaurentPoly2
+
+engine = importlib.import_module("knotcert.homfly")  # the package's `homfly` is the function
 
 
 def P(triples):
@@ -89,6 +89,15 @@ class TestAnchors:
 class TestEngineAgreement:
     @settings(max_examples=60, deadline=None)
     @given(words())
+    @example(BraidWord(2, (1,) * 40))
+    @example(BraidWord(2, (-1,) * 40))
+    @example(BraidWord(2, ()))
+    @example(BraidWord(3, ()))
+    @example(BraidWord(4, ()))
+    @example(BraidWord(5, ()))  # unlinks: negative z-exponents
+    @example(BraidWord(3, (-1, -2, -1, -2, -2)))
+    @example(BraidWord(5, (-4, -3, -2, -1, -4, -2)))
+    @example(BraidWord(4, (-1, -2, -3) * 4))
     def test_hecke_equals_skein(self, b):
         assert hecke_homfly(b) == skein_homfly(b)
 
@@ -295,6 +304,27 @@ class TestWalkAndRotation:
         assert canonical_key(BraidWord(3, ())) == "strands=3"
 
 
+# The 2-D {(v, z): c} dict helpers, as the dict reference engine below used them.
+_DELTA = {(-1, -1): 1, (1, -1): -1}
+
+
+def _add_into(dst: dict, src: dict, de1: int, de2: int, scale: int = 1) -> None:
+    for (a, b), c in src.items():
+        k = (a + de1, b + de2)
+        dst[k] = dst.get(k, 0) + c * scale
+        if not dst[k]:
+            del dst[k]
+
+
+def _mul2(a: dict, b: dict) -> dict:
+    out: dict = {}
+    for (a1, b1), c1 in a.items():
+        for (a2, b2), c2 in b.items():
+            k = (a1 + a2, b1 + b2)
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
 def _reference_mul_sigma(state, k, positive):
     """The dict Hecke engine as first written, kept as the reference: every
     basis word carries a {(v, z): c} coefficient dict."""
@@ -403,6 +433,13 @@ class TestPackedHecke:
         _check_unit_identity(homfly(HOPF), 2)
         _check_unit_identity(homfly(BraidWord(3, ())), 3)
 
+    @pytest.mark.usefixtures("fresh_memos")
+    def test_skein_result_checked(self):
+        assert skein_homfly(TREFOIL) == homfly(TREFOIL)
+        engine._HOMFLY_WALK_MEMO[(2, (1, 1, 1))] = {7 + 7 * engine._ZKEY: 7}  # 7 v^7 z^7
+        with pytest.raises(ArithmeticError):
+            skein_homfly(TREFOIL)
+
 
 class TestCanonicalKeyAndCache:
     def test_rotation_invariance(self):
@@ -446,9 +483,25 @@ class TestCanonicalKeyAndCache:
         first = homfly(b, cache=cache)
         assert cache.get(canonical_key(b)) == first
 
+    @pytest.mark.usefixtures("fresh_memos")
     def test_homfly_reads_cache(self, tmp_path):
+        # a record failing the unit identity is a miss: recomputed, replaced
         b = BraidWord(6, (5, -4, 3, -2, 1, 1, 4))
         sentinel = P([[7, 7, 7]])
-        cache = PolynomialCache(tmp_path / "polys.jsonl")
+        path = tmp_path / "polys.jsonl"
+        cache = PolynomialCache(path)
         cache.put(canonical_key(b), b.strands, sentinel, algorithm="hecke")
-        assert homfly(b, cache=cache) == sentinel
+        truth = hecke_homfly(b)
+        assert homfly(b, cache=cache) == truth
+        assert PolynomialCache(path).get(canonical_key(b)) == truth
+
+    @pytest.mark.usefixtures("fresh_memos")
+    def test_homfly_serves_genuine_record(self, tmp_path, monkeypatch):
+        b = BraidWord(6, (5, -4, 3, -2, 1, 1, 4))
+        truth = hecke_homfly(b)
+        cache = PolynomialCache(tmp_path / "polys.jsonl")
+        cache.put(canonical_key(b), b.strands, truth, algorithm="hecke")
+        calls = []
+        monkeypatch.setattr(engine, "hecke_homfly", lambda b, **kw: calls.append(b))
+        assert homfly(b, cache=cache) == truth
+        assert calls == []

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -85,6 +87,21 @@ class TestIto:
     def test_wrong_genus_flags_mismatch(self):
         verdict = ito_obstruction(BraidWord(2, (1, 1, 1)), genus=2)
         assert verdict.genus_alexander_mismatch
+
+    @pytest.mark.usefixtures("fresh_memos")
+    @pytest.mark.parametrize("b, genus", [(BraidWord(2, (1,) * 5), 2), (kn_braid(2), 6)])
+    def test_skein_engine_runs_no_hecke(self, b, genus, monkeypatch):
+        engine = importlib.import_module("knotcert.homfly")
+        hecke, calls = engine.hecke_homfly, []
+
+        def counting(word, **kw):
+            calls.append(word)
+            return hecke(word, **kw)
+
+        monkeypatch.setattr(engine, "hecke_homfly", counting)
+        skein = ito_obstruction(b, genus, engine="skein")
+        assert calls == []
+        assert skein == ito_obstruction(b, genus, engine="hecke")
 
 
 class TestGenusFormula:
