@@ -157,7 +157,7 @@ def _sweep(values, text: Callable[..., tuple[str, str]], check: Callable) -> lis
 
 def _topterm(o, ns) -> list[Claim]:
     def check(n):
-        r = verify_topterm(n, node_budget=o.node_budget, max_strands=o.max_strands)
+        r = verify_topterm(n, node_budget=o.node_budget, max_strands=o.max_strands, memo=o.memo)
         return r.ok, {"exponent": r.exponent, "coefficient": r.coefficient}
 
     def text(n):
@@ -169,7 +169,8 @@ def _topterm(o, ns) -> list[Claim]:
 
 def _decomposition(o, ns) -> list[Claim]:
     def check(n):
-        r = skein_decomposition_check(n, node_budget=o.node_budget, max_strands=o.max_strands)
+        r = skein_decomposition_check(n, node_budget=o.node_budget, max_strands=o.max_strands,
+                                      memo=o.memo)
         return r.holds, {"degree": r.lhs.degree, "terms": len(r.lhs.terms)}
 
     return _sweep(ns, lambda n: (f"decomposition-n{n}", (
@@ -185,7 +186,7 @@ _SHARPNESS_TEXT = {  # family -> claim id suffix and statement, formatted with (
 
 def _sharpness(o, n_max) -> list[Claim]:
     def check(job):
-        rep = sharpness(job[2], node_budget=o.node_budget, max_strands=o.max_strands)
+        rep = sharpness(job[2], node_budget=o.node_budget, max_strands=o.max_strands, memo=o.memo)
         computed = {"p0_degree": rep.p0_degree, "bound": rep.bound, "sharp": rep.sharp}
         return rep.sharp == job[3], computed
 
@@ -212,7 +213,8 @@ _TORUS_KNOTS = {1: "the trefoil", 2: "the (2,5) torus knot"}  # genus -> name
 
 def _ito(o, ns, genus) -> list[Claim]:
     def verdict(braid, g):
-        return ito_obstruction(braid, g, max_strands=o.max_strands, node_budget=o.node_budget)
+        return ito_obstruction(braid, g, max_strands=o.max_strands, node_budget=o.node_budget,
+                               memo=o.memo)
 
     def control(g):
         v = verdict(BraidWord(2, (1,) * (2 * g + 1)), g)
@@ -239,7 +241,7 @@ def _ito(o, ns, genus) -> list[Claim]:
 
 def _genus(o, ns) -> list[Claim]:
     def check(n):
-        d = alexander(kn_braid(n), max_strands=o.max_strands).degree
+        d = alexander(kn_braid(n), max_strands=o.max_strands, memo=o.memo).degree
         g = genus_kn(n)
         return 2 * d == 2 * g, {"alexander_span": 2 * d, "genus": g}
 
@@ -396,9 +398,10 @@ def _int_arg(flag: str, default: int | None, **kw) -> tuple[str, dict]:
     return flag, {"type": int, "default": default, **kw}
 
 
-# Table order is build order, and so decides which claim pays for a memo it
-# shares with a later one (ito-kn-n4 computes the Hecke HOMFLY of beta_4 that
-# genus-n4 reuses).
+# Table order is build order.  One `verify` run shares results through one run
+# memo, so the order decides which claim pays for a result it shares with a
+# later one (ito-kn-n4 computes the Hecke HOMFLY of beta_4 that genus-n4
+# reuses).
 SUITES: dict[str, Suite] = {
     "topterm": Suite(
         "top term of p0 for one beta braid", (_int_arg("--n", 2),),
@@ -457,6 +460,7 @@ SUITES: dict[str, Suite] = {
 def _cmd_verify(args) -> int:
     config = _config_echo(args)
     args.node_budget = args.node_budget or 5_000_000
+    args.memo = {}  # the run memo: lives for this run only, so runs do not see each other
     if args.target == "all":
         claims = [c for s in SUITES.values() for c in s.build(args, **getattr(s, args.level))]
     else:

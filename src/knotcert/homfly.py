@@ -355,10 +355,6 @@ def _walk_passes(word: tuple[int, ...], strands: int):
     return passes, self_flags, ncomps
 
 
-_P0_MEMO: dict = {}
-_HOMFLY_WALK_MEMO: dict = {}
-_MEMO_LOCK = threading.Lock()
-
 # The HOMFLY row packs v^a z^b into the int key a + _ZKEY*b, so a monomial
 # product is a key sum; injective while |a| < 2^31.  A node value is the
 # HOMFLY polynomial of a braid closure with at most L letters on n strands,
@@ -373,10 +369,12 @@ _P0_RULES = ({-2: 1, 0: -1}, (2, 1), (0, -1), False)
 _HOMFLY_RULES = ({-1 - _ZKEY: 1, 1 - _ZKEY: -1}, (1 + _ZKEY, 1), (_ZKEY - 1, -1), True)
 
 
-def _resolve(word: tuple, strands: int, budget: _Budget, rules: tuple, memo: dict) -> dict:
+def _resolve(word: tuple, strands: int, budget: _Budget, rules: tuple, memo: dict | None) -> dict:
     """Descending walk under one rule row: each crossing first met from below
     is switched, adding its smoothing where the row says so, until the word
-    is an unlink; the running factor is the monomial v^shift."""
+    is an unlink; the running factor is the monomial v^shift.  ``memo``, for
+    one call or None, maps (strands, least rotation) to node values, which no
+    caller mutates, so they are stored and served without copies."""
     split, plus, minus, mixed_branches = rules
     word, strands = _simplify(word, strands)
     if not word:
@@ -386,11 +384,10 @@ def _resolve(word: tuple, strands: int, budget: _Budget, rules: tuple, memo: dic
         (lw, ls), (rw, rs) = _split_words(word, strands, k)
         prod = _mul1(_resolve(lw, ls, budget, rules, memo), _resolve(rw, rs, budget, rules, memo))
         return _mul1(prod, split)
-    key = (strands, _canonical_rotation(word))
-    with _MEMO_LOCK:
-        hit = memo.get(key)
-    if hit is not None:
-        return dict(hit)
+    if memo is not None:
+        key = (strands, _canonical_rotation(word))
+        if key in memo:
+            return memo[key]
     budget.spend()
     passes, self_flags, ncomps = _walk_passes(word, strands)
     cur = list(word)
@@ -411,8 +408,8 @@ def _resolve(word: tuple, strands: int, budget: _Budget, rules: tuple, memo: dic
         shift += 2 if positive else -2
         cur[t] = -cur[t]
     _add_into(total, _pow1(split, ncomps - 1), shift)
-    with _MEMO_LOCK:
-        memo[key] = dict(total)
+    if memo is not None:
+        memo[key] = total
     return total
 
 
@@ -420,10 +417,10 @@ def skein_homfly(b: BraidWord, *, node_budget: int = 200_000) -> LaurentPoly2:
     """HOMFLY polynomial via the descending-walk skein resolver.
 
     Independent of the Hecke engine; exponential in the worst case, bounded
-    by ``node_budget`` resolver nodes.
+    by ``node_budget`` resolver nodes.  Its node memo lives for this call.
     """
     budget = _Budget(node_budget)
-    packed = _resolve(b.letters, b.strands, budget, _HOMFLY_RULES, _HOMFLY_WALK_MEMO)
+    packed = _resolve(b.letters, b.strands, budget, _HOMFLY_RULES, {})
     half = _ZKEY >> 1
     terms = {}
     for e, c in packed.items():
@@ -444,7 +441,33 @@ def canonical_key(b: BraidWord) -> str:
     return braid_text(BraidWord(b.strands, _canonical_rotation(b.letters)))
 
 
-_HOMFLY_MEMO: dict = {}
+def _memoized(memo: dict | None, kind: str, b: BraidWord, compute):
+    """compute(), shared through the caller's run memo under (kind, canonical
+    key) when one is given; without a memo every call starts fresh."""
+    if memo is None:
+        return compute()
+    key = (kind, canonical_key(b))
+    if key not in memo:
+        memo[key] = compute()
+    return memo[key]
+
+
+def _cached_hecke(b: BraidWord, max_strands: int, cache: "PolynomialCache | None") -> LaurentPoly2:
+    """Hecke HOMFLY through the persistent cache, when given; a missed
+    record is computed and written back."""
+    if cache is None:
+        return hecke_homfly(b, max_strands=max_strands)
+    key = canonical_key(b)
+    cached = cache.get(key)
+    if cached is not None:
+        try:
+            _check_unit_identity(cached, closure_stats(b).components)
+            return cached
+        except ArithmeticError:
+            pass  # a record failing the identity is a miss
+    result = hecke_homfly(b, max_strands=max_strands)
+    cache.put(key, b.strands, result, algorithm="hecke")
+    return result
 
 
 def homfly(
@@ -454,43 +477,23 @@ def homfly(
     max_strands: int = 8,
     node_budget: int = 200_000,
     cache: "PolynomialCache | None" = None,
+    memo: dict | None = None,
 ) -> LaurentPoly2:
     """HOMFLY polynomial of the closure of ``b``.
 
-    ``engine`` selects "hecke" (primary) or "skein" (oracle).  Results are
-    memoized per engine under the canonical rotation key; ``cache``, when
-    given, persists Hecke results across processes, and a record read back
-    that fails the unit identity is a miss.
+    ``engine`` selects "hecke" (primary) or "skein" (oracle).  ``memo`` is a
+    run memo the caller owns: a dict that shares results between calls under
+    (engine, canonical key), so one run computes each polynomial once;
+    without it the call starts fresh.  ``cache``, when given, persists Hecke
+    results across processes, and a record read back that fails the unit
+    identity is a miss.
     """
     if engine not in ("hecke", "skein"):
         raise ValueError(f"unknown engine {engine!r}")
-    if engine == "hecke":
-        _check_hecke_cap(b.strands, max_strands)  # before the memo and cache
-    key = (engine, canonical_key(b))
-    with _MEMO_LOCK:
-        hit = _HOMFLY_MEMO.get(key)
-    if hit is not None:
-        return hit
-    if cache is not None and engine == "hecke":
-        cached = cache.get(key[1])
-        if cached is not None:
-            try:
-                _check_unit_identity(cached, closure_stats(b).components)
-            except ArithmeticError:
-                cached = None  # a record failing the identity is a miss
-        if cached is not None:
-            with _MEMO_LOCK:
-                _HOMFLY_MEMO[key] = cached
-            return cached
-    if engine == "hecke":
-        result = hecke_homfly(b, max_strands=max_strands)
-    else:
-        result = skein_homfly(b, node_budget=node_budget)
-    with _MEMO_LOCK:
-        _HOMFLY_MEMO[key] = result
-    if cache is not None and engine == "hecke":
-        cache.put(key[1], b.strands, result, algorithm="hecke")
-    return result
+    if engine == "skein":
+        return _memoized(memo, "skein", b, lambda: skein_homfly(b, node_budget=node_budget))
+    _check_hecke_cap(b.strands, max_strands)  # before the memo and cache
+    return _memoized(memo, "hecke", b, lambda: _cached_hecke(b, max_strands, cache))
 
 
 @dataclass(frozen=True)
@@ -533,21 +536,26 @@ def p0(
     node_budget: int = 60_000,
     fallback: bool = True,
     max_strands: int = 8,
+    memo: dict | None = None,
 ) -> LaurentPoly1:
     """Zeroth coefficient polynomial of the closure.
 
     Tries the dedicated skein fast path first; on budget exhaustion falls
-    back to extracting p^0 from the full Hecke HOMFLY polynomial.
+    back to extracting p^0 from the full Hecke HOMFLY polynomial.  The result,
+    by either path, is shared through ``memo`` as in :func:`homfly`.
     """
-    try:
-        budget = _Budget(node_budget)
-        return LaurentPoly1("v", _resolve(b.letters, b.strands, budget, _P0_RULES, _P0_MEMO))
-    except BudgetExceededError:
-        if not fallback:
-            raise
-    P = homfly(b, max_strands=max_strands)
-    comps = closure_stats(b).components
-    return coefficient_polys(P, comps).coeffs[0]
+
+    def compute() -> LaurentPoly1:
+        try:
+            budget = _Budget(node_budget)
+            return LaurentPoly1("v", _resolve(b.letters, b.strands, budget, _P0_RULES, None))
+        except BudgetExceededError:
+            if not fallback:
+                raise
+        P = homfly(b, max_strands=max_strands, memo=memo)
+        return coefficient_polys(P, closure_stats(b).components).coeffs[0]
+
+    return _memoized(memo, "p0", b, compute)
 
 
 def _alexander_of(P: LaurentPoly2) -> LaurentPoly1:
@@ -566,12 +574,13 @@ def _determinant_of(a: LaurentPoly1) -> int:
     return abs(int(value))
 
 
-def alexander(b: BraidWord, *, max_strands: int = 8) -> LaurentPoly1:
-    """Alexander polynomial of a knot closure, symmetric with value 1 at 1."""
+def alexander(b: BraidWord, *, max_strands: int = 8, memo: dict | None = None) -> LaurentPoly1:
+    """Alexander polynomial of a knot closure, symmetric with value 1 at 1;
+    its HOMFLY polynomial is shared through ``memo`` as in :func:`homfly`."""
     stats = closure_stats(b)
     if stats.components != 1:
         raise ValueError(f"closure has {stats.components} components, not a knot")
-    return _alexander_of(homfly(b, max_strands=max_strands))
+    return _alexander_of(homfly(b, max_strands=max_strands, memo=memo))
 
 
 def determinant(b: BraidWord, *, max_strands: int = 8) -> int:
@@ -608,6 +617,8 @@ class PolynomialCache:
                 continue
             try:
                 rec = json.loads(line)
+                if rec["version"] != self.VERSION:
+                    continue  # written by another format version: a miss
                 poly = LaurentPoly2.from_triples(tuple(rec["tags"]), rec["terms"])
                 self._memory[rec["word"]] = poly
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):

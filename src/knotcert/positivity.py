@@ -105,14 +105,15 @@ class SuiteEntry:
 
 
 def sharpness(
-    b: BraidWord, *, node_budget: int = 200_000, max_strands: int = 8
+    b: BraidWord, *, node_budget: int = 200_000, max_strands: int = 8, memo: dict | None = None
 ) -> SharpnessReport:
-    """Compare deg p0 of the closure against strands + crossings - components."""
+    """Compare deg p0 of the closure against strands + crossings - components;
+    ``memo``, here and below, is a run memo as in :func:`~knotcert.homfly.homfly`."""
     if not b.is_positive:
         raise BraidError("sharpness is defined for all-positive words only")
     stats = closure_stats(b)
     bound = b.strands + b.crossings - stats.components
-    degree = p0(b, node_budget=node_budget, max_strands=max_strands).degree
+    degree = p0(b, node_budget=node_budget, max_strands=max_strands, memo=memo).degree
     if degree > bound:
         raise AssertionError(f"degree bound violated: {degree} > {bound}")
     return SharpnessReport(
@@ -132,6 +133,7 @@ def ito_obstruction(
     engine: str = "hecke",
     max_strands: int = 8,
     node_budget: int = 200_000,
+    memo: dict | None = None,
 ) -> ItoVerdict:
     """Evaluate P~ = (-alpha)^(-g) P|_{-v^2=alpha} for the closure of b.
 
@@ -143,7 +145,7 @@ def ito_obstruction(
     stats = closure_stats(b)
     if stats.components != 1:
         raise BraidError("the Ito obstruction applies to knots only")
-    P = homfly(b, engine=engine, max_strands=max_strands, node_budget=node_budget)
+    P = homfly(b, engine=engine, max_strands=max_strands, node_budget=node_budget, memo=memo)
     tilde = specialize(P, "v2_to_neg_alpha").shift(-genus, 0, (-1) ** genus)
     negatives = [
         (e2, -e1, e1, c) for (e1, e2), c in tilde.terms.items() if c < 0
@@ -174,12 +176,12 @@ def genus_kn(n: int) -> int:
 
 
 def verify_topterm(
-    n: int, *, node_budget: int = 5_000_000, max_strands: int = 8
+    n: int, *, node_budget: int = 5_000_000, max_strands: int = 8, memo: dict | None = None
 ) -> TopTermReport:
     """Check that p0 of the closure of beta_n has top term (-1)^n v^(3n^2+3n)."""
     if n < 2:
         raise ValueError("top term verification needs n >= 2")
-    poly = p0(kn_braid(n), node_budget=node_budget, max_strands=max_strands)
+    poly = p0(kn_braid(n), node_budget=node_budget, max_strands=max_strands, memo=memo)
     exponent, coefficient = poly.top_term()
     expected_exponent = 3 * n * n + 3 * n
     expected_coefficient = (-1) ** n
@@ -194,7 +196,7 @@ def verify_topterm(
 
 
 def skein_decomposition_check(
-    n: int, *, node_budget: int = 5_000_000, max_strands: int = 8
+    n: int, *, node_budget: int = 5_000_000, max_strands: int = 8, memo: dict | None = None
 ) -> DecompositionReport:
     """Verify the zeroth-coefficient recursion
 
@@ -208,7 +210,7 @@ def skein_decomposition_check(
         raise ValueError("the decomposition needs n >= 2")
 
     def q0(b: BraidWord) -> LaurentPoly1:
-        return p0(b, node_budget=node_budget, max_strands=max_strands)
+        return p0(b, node_budget=node_budget, max_strands=max_strands, memo=memo)
 
     lhs = q0(kn_braid(n))
     one_minus = LaurentPoly1.from_pairs("v", [(0, 1), (-2, -1)])

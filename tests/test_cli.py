@@ -103,7 +103,6 @@ class TestVerify:
         assert code == 0
         assert "[unknown] ito-kn-n3" in out
 
-    @pytest.mark.usefixtures("fresh_memos")
     def test_genus_respects_strand_cap(self, capsys):
         # beta_2 has 4 strands, so its Hecke HOMFLY is over a cap of 2
         code, out, _ = run(capsys, "verify", "genus", "--n", "2", "--max-strands", "2", "--json")
@@ -112,9 +111,8 @@ class TestVerify:
         assert entry["status"] == "skipped"
         assert "4 strands" in entry["computed"]
 
-    @pytest.mark.usefixtures("fresh_memos")
     def test_strand_cap_holds_after_memo_fill(self, capsys):
-        # the first run memoizes beta_2's HOMFLY; the cap must still bite
+        # the first run computes beta_2's HOMFLY; the cap must still bite
         code, out, _ = run(capsys, "verify", "genus", "--n", "2", "--json")
         assert code == 0
         assert json.loads(out)["entries"][0]["status"] == "pass"
@@ -123,6 +121,19 @@ class TestVerify:
         entry = json.loads(out)["entries"][0]
         assert entry["status"] == "skipped"
         assert "4 strands" in entry["computed"]
+
+    def test_runs_do_not_share_results(self, capsys):
+        argv = ("verify", "topterm", "--n", "2", "--node-budget", "19", "--max-strands", "2",
+                "--json")
+        _, alone, _ = run(capsys, *argv)
+        run(capsys, "verify", "topterm", "--n", "2")
+        _, after, _ = run(capsys, *argv)
+        entry = json.loads(after)["entries"][0]
+        assert entry["status"] == "skipped"
+        entry.pop("seconds")
+        expected = json.loads(alone)["entries"][0]
+        expected.pop("seconds")
+        assert entry == expected
 
     def test_genus_odd_rejected(self):
         with pytest.raises(SystemExit) as err:
@@ -236,7 +247,6 @@ class TestInvariants:
         )
         assert json.loads(out_h)["homfly"] == json.loads(out_s)["homfly"]
 
-    @pytest.mark.usefixtures("fresh_memos")
     def test_skein_engine_runs_no_hecke(self, capsys, monkeypatch):
         import importlib
 
@@ -307,8 +317,6 @@ class TestCache:
 
     def test_stats_and_clear(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        # a braid no other test touches, so the in-process memo cannot
-        # swallow the cache write
         code, _, _ = run(capsys, "invariants", "--braid", "strands=5 1 -2 3 -4 4 2")
         assert code == 0
         code, out, _ = run(capsys, "cache", "stats")

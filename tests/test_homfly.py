@@ -20,6 +20,7 @@ from knotcert.braid import (
 from knotcert.errors import BudgetExceededError
 from knotcert.homfly import (
     PolynomialCache,
+    _alexander_of,
     _canonical_rotation,
     _check_unit_identity,
     _walk_passes,
@@ -180,7 +181,6 @@ class TestAlexander:
         assert alexander(kn_braid(2)).degree == 6
 
 
-@pytest.mark.usefixtures("fresh_memos")
 class TestBudgets:
     def test_hecke_strand_guard(self):
         wide = BraidWord(9, (1,))
@@ -206,13 +206,52 @@ class TestBudgets:
         assert p0(b, node_budget=2, fallback=True) == want
 
 
-BETA_P0_NODES = [(2, 20), (3, 194), (4, 1_950)]  # p0(beta_5) takes 20,557
+class TestHistoryIndependence:
+    """Budgets and results do not depend on earlier calls in the process;
+    only a run memo that the caller passes shares results between calls."""
+
+    def test_p0_budget_after_earlier_p0(self):
+        p0(BraidWord(4, (1, -2, 3, 1, -2, 3)))
+        with pytest.raises(BudgetExceededError) as err:
+            p0(BraidWord(7, (1, -2, 3, -4, 5, -6, 1, -2, 3)), node_budget=2, fallback=False)
+        assert err.value.spent == 2
+
+    def test_skein_budget_after_full_skein(self):
+        skein_homfly(kn_braid(2))
+        with pytest.raises(BudgetExceededError):
+            skein_homfly(kn_braid(2), node_budget=202)
+
+    def test_run_memo_shares_results(self, monkeypatch):
+        hecke, calls = engine.hecke_homfly, []
+
+        def counting(word, **kw):
+            calls.append(word)
+            return hecke(word, **kw)
+
+        monkeypatch.setattr(engine, "hecke_homfly", counting)
+        memo = {}
+        alex = alexander(kn_braid(2), memo=memo)
+        assert _alexander_of(homfly(kn_braid(2), memo=memo)) == alex
+        assert len(calls) == 1
+        with pytest.raises(BudgetExceededError):  # the strand cap comes before the memo
+            homfly(kn_braid(2), max_strands=2, memo=memo)
+        alexander(kn_braid(2))  # without a memo a call starts fresh
+        assert len(calls) == 2
+
+    def test_no_module_level_containers(self):
+        # a module-level dict, list or set is where a global memo would hide
+        found = [name for name, value in vars(engine).items()
+                 if isinstance(value, (dict, list, set))
+                 and name not in ("__all__", "__builtins__")]
+        assert found == []
 
 
-@pytest.mark.usefixtures("fresh_memos")
+BETA_P0_NODES = [(2, 21), (3, 194), (4, 1_950)]  # p0(beta_5) takes 20,557
+
+
 class TestWorkCounts:
-    """Resolver node counts from empty memos: exact work, the regression
-    signal for resolver speed-ups, which must not change the work done."""
+    """Resolver node counts: exact work, the regression signal for resolver
+    speed-ups, which must not change the work done."""
 
     @pytest.mark.parametrize("n, nodes", BETA_P0_NODES)
     def test_p0_beta_nodes_suffice(self, n, nodes):
@@ -433,10 +472,9 @@ class TestPackedHecke:
         _check_unit_identity(homfly(HOPF), 2)
         _check_unit_identity(homfly(BraidWord(3, ())), 3)
 
-    @pytest.mark.usefixtures("fresh_memos")
-    def test_skein_result_checked(self):
+    def test_skein_result_checked(self, monkeypatch):
         assert skein_homfly(TREFOIL) == homfly(TREFOIL)
-        engine._HOMFLY_WALK_MEMO[(2, (1, 1, 1))] = {7 + 7 * engine._ZKEY: 7}  # 7 v^7 z^7
+        monkeypatch.setattr(engine, "_resolve", lambda *a: {7 + 7 * engine._ZKEY: 7})  # 7 v^7 z^7
         with pytest.raises(ArithmeticError):
             skein_homfly(TREFOIL)
 
@@ -467,6 +505,16 @@ class TestCanonicalKeyAndCache:
         assert again.stats()["records"] == 1
         assert again.get("k") == homfly(TREFOIL)
 
+    def test_other_version_skipped(self, tmp_path):
+        path = tmp_path / "polys.jsonl"
+        PolynomialCache(path).put("k", 2, homfly(TREFOIL), algorithm="hecke")
+        record = json.loads(path.read_text())
+        record["version"] = 2
+        path.write_text(json.dumps(record) + "\n")
+        again = PolynomialCache(path)
+        assert again.get("k") is None
+        assert again.stats()["records"] == 0
+
     def test_clear(self, tmp_path):
         path = tmp_path / "polys.jsonl"
         cache = PolynomialCache(path)
@@ -476,14 +524,11 @@ class TestCanonicalKeyAndCache:
         assert cache.get("k") is None
 
     def test_homfly_writes_through(self, tmp_path):
-        # Fresh braid: wider than anything the property tests generate, so it
-        # cannot already sit in the in-process memo.
         b = BraidWord(6, (1, -2, 3, -4, 5, 5, 3))
         cache = PolynomialCache(tmp_path / "polys.jsonl")
         first = homfly(b, cache=cache)
         assert cache.get(canonical_key(b)) == first
 
-    @pytest.mark.usefixtures("fresh_memos")
     def test_homfly_reads_cache(self, tmp_path):
         # a record failing the unit identity is a miss: recomputed, replaced
         b = BraidWord(6, (5, -4, 3, -2, 1, 1, 4))
@@ -495,7 +540,6 @@ class TestCanonicalKeyAndCache:
         assert homfly(b, cache=cache) == truth
         assert PolynomialCache(path).get(canonical_key(b)) == truth
 
-    @pytest.mark.usefixtures("fresh_memos")
     def test_homfly_serves_genuine_record(self, tmp_path, monkeypatch):
         b = BraidWord(6, (5, -4, 3, -2, 1, 1, 4))
         truth = hecke_homfly(b)

@@ -88,7 +88,6 @@ class TestIto:
         verdict = ito_obstruction(BraidWord(2, (1, 1, 1)), genus=2)
         assert verdict.genus_alexander_mismatch
 
-    @pytest.mark.usefixtures("fresh_memos")
     @pytest.mark.parametrize("b, genus", [(BraidWord(2, (1,) * 5), 2), (kn_braid(2), 6)])
     def test_skein_engine_runs_no_hecke(self, b, genus, monkeypatch):
         engine = importlib.import_module("knotcert.homfly")
