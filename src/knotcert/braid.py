@@ -21,7 +21,7 @@ The family constructors build the braids studied by the rest of the toolkit:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import BraidError
 

@@ -25,10 +25,12 @@ from . import __version__
 from .braid import (
     BraidWord,
     braid_text,
+    cable_braid,
     closure_stats,
     family,
     FAMILY_NAMES,
     kn_braid,
+    kn_plus_braid,
     parse_braid,
 )
 from .dehornoy import DEFAULT_STEP_BUDGET, floor_exceeds_one
@@ -40,7 +42,6 @@ from .homfly import (
     alexander,
     coefficient_polys,
     homfly,
-    p0,
 )
 from .montesinos import (
     ell0_triple,
@@ -53,7 +54,6 @@ from .positivity import (
     genus_kn,
     ito_obstruction,
     sharpness,
-    sharpness_jobs,
     skein_decomposition_check,
     verify_topterm,
 )
@@ -177,24 +177,23 @@ def _decomposition(o, ns) -> list[Claim]:
         f"p0 recursion over cable and kn_plus pieces holds exactly at n={n}")), check)
 
 
-_SHARPNESS_TEXT = {  # family -> claim id suffix and statement, formatted with (index, index - 1)
-    "trefoil": ("trefoil", "trefoil braid is sharp"),
-    "cable": ("cable-k{0}", "cable braid X_{0}^3.[1..{1}] is not sharp"),
-    "kn_plus": ("knplus-n{0}", "kn_plus braid at n={0} is not sharp"),
-}
-
-
 def _sharpness(o, n_max) -> list[Claim]:
-    def check(job):
-        rep = sharpness(job[2], node_budget=o.node_budget, max_strands=o.max_strands, memo=o.memo)
+    """The trefoil control must be sharp; every cable braid X_k^3.[1..k-1] for
+    k = 2..n_max and every kn_plus braid for n = 3..n_max must not be."""
+    rows = (  # (claim id suffix, statement, braid, expected sharp)
+        [("trefoil", "trefoil braid is sharp", BraidWord(2, (1, 1, 1)), True)]
+        + [(f"cable-k{k}", f"cable braid X_{k}^3.[1..{k - 1}] is not sharp", cable_braid(k),
+            False) for k in range(2, n_max + 1)]
+        + [(f"knplus-n{n}", f"kn_plus braid at n={n} is not sharp", kn_plus_braid(n), False)
+           for n in range(3, n_max + 1)]
+    )
+
+    def check(row):
+        rep = sharpness(row[2], node_budget=o.node_budget, max_strands=o.max_strands, memo=o.memo)
         computed = {"p0_degree": rep.p0_degree, "bound": rep.bound, "sharp": rep.sharp}
-        return rep.sharp == job[3], computed
+        return rep.sharp == row[3], computed
 
-    def text(job):
-        cid, statement = _SHARPNESS_TEXT[job[0]]
-        return f"sharpness-{cid.format(job[1])}", statement.format(job[1], job[1] - 1)
-
-    return _sweep(sharpness_jobs(n_max), text, check)
+    return _sweep(rows, lambda row: (f"sharpness-{row[0]}", row[1]), check)
 
 
 def _ito_computed(verdict) -> dict:
@@ -518,8 +517,7 @@ def _invariants_payload(b: BraidWord, args) -> dict:
     return payload
 
 
-def _cmd_invariants(args, parser) -> int:
-    b = _parse_cli_braid(args, parser)
+def _print_invariants(b: BraidWord, args) -> int:
     try:
         payload = _invariants_payload(b, args)
     except BudgetExceededError as exc:
@@ -537,6 +535,10 @@ def _cmd_invariants(args, parser) -> int:
     return 0
 
 
+def _cmd_invariants(args, parser) -> int:
+    return _print_invariants(_parse_cli_braid(args, parser), args)
+
+
 def _cmd_family(args, parser) -> int:
     try:
         b = family(args.name, args.n)
@@ -545,14 +547,7 @@ def _cmd_family(args, parser) -> int:
     if args.emit == "word":
         print(braid_text(b))
         return 0
-    _check_word_caps(b, args, parser)
-    try:
-        payload = _invariants_payload(b, args)
-    except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(payload, sort_keys=True, indent=2) if args.json else payload)
-    return 0
+    return _print_invariants(_check_word_caps(b, args, parser), args)
 
 
 def _cmd_cache(args) -> int:

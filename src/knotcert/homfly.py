@@ -243,29 +243,8 @@ class _Budget:
 
 
 def _canonical_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
-    """The lexicographically least rotation, by Booth's O(L) least-rotation
-    algorithm (K. S. Booth, Inf. Process. Lett. 10, 1980): a failure function
-    over the doubled word, as in Knuth-Morris-Pratt, with ``k`` the start of
-    the least rotation seen so far."""
-    if not letters:
-        return letters
-    s = letters + letters
-    fail = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        c = s[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != s[k + i + 1]:
-            if c < s[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != s[k + i + 1]:  # here i == -1
-            if c < s[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return letters[k:] + letters[:k]
+    """The lexicographically least rotation of a cyclic word."""
+    return min((letters[k:] + letters[:k] for k in range(len(letters))), default=letters)
 
 
 def _simplify(word: tuple[int, ...], strands: int) -> tuple[tuple[int, ...], int]:

@@ -34,8 +34,59 @@ def _clean(items: Iterable[tuple] | Mapping) -> dict:
     return out
 
 
+class _Laurent:
+    """Ring operations that do not depend on the exponent shape.  A shape
+    supplies ``_tags`` (its variable names, the first constructor argument),
+    ``one`` and ``_times``, the product of two term maps."""
+
+    terms: Mapping
+
+    def _new(self, terms: Mapping):
+        return type(self)(self._tags, terms)
+
+    def _check(self, other: "_Laurent") -> None:
+        if self._tags != other._tags:
+            raise ValueError(f"variable mismatch: {self._tags!r} vs {other._tags!r}")
+
+    def __add__(self, other):
+        self._check(other)
+        merged = dict(self.terms)
+        for e, c in other.terms.items():
+            merged[e] = merged.get(e, 0) + c
+        return self._new(merged)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new({e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return self._new({e: c * other for e, c in self.terms.items()})
+        self._check(other)
+        return self._new(self._times(other.terms))
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative powers are not defined for polynomials")
+        result = self.one(self._tags)
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def is_positive(self) -> bool:
+        """True when every stored coefficient is positive (vacuously for 0)."""
+        return all(c > 0 for c in self.terms.values())
+
+
 @dataclass(frozen=True)
-class LaurentPoly1:
+class LaurentPoly1(_Laurent):
     """Sparse Laurent polynomial in a single variable over the integers."""
 
     var: str
@@ -43,6 +94,10 @@ class LaurentPoly1:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", MappingProxyType(_clean(self.terms)))
+
+    @property
+    def _tags(self) -> str:
+        return self.var
 
     # construction -----------------------------------------------------
 
@@ -58,58 +113,21 @@ class LaurentPoly1:
     def monomial(cls, var: str, exp: int, coeff: int = 1) -> "LaurentPoly1":
         return cls(var, {exp: coeff})
 
-    # ring operations ---------------------------------------------------
+    # shape-dependent arithmetic ---------------------------------------
 
-    def _check(self, other: "LaurentPoly1") -> None:
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
-
-    def __add__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        self._check(other)
-        merged = dict(self.terms)
-        for e, c in other.terms.items():
-            merged[e] = merged.get(e, 0) + c
-        return LaurentPoly1(self.var, merged)
-
-    def __sub__(self, other: "LaurentPoly1") -> "LaurentPoly1":
-        return self + (-other)
-
-    def __neg__(self) -> "LaurentPoly1":
-        return LaurentPoly1(self.var, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other: "LaurentPoly1 | int") -> "LaurentPoly1":
-        if isinstance(other, int):
-            return LaurentPoly1(self.var, {e: c * other for e, c in self.terms.items()})
-        self._check(other)
+    def _times(self, other: Mapping[int, int]) -> dict[int, int]:
         out: dict[int, int] = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            for e2, c2 in other.items():
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly1(self.var, out)
-
-    __rmul__ = __mul__
+        return out
 
     def shift(self, exp: int, coeff: int = 1) -> "LaurentPoly1":
         """Multiply by the monomial coeff * var^exp."""
         return LaurentPoly1(self.var, {e + exp: c * coeff for e, c in self.terms.items()})
 
-    def __pow__(self, k: int) -> "LaurentPoly1":
-        if k < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = LaurentPoly1.one(self.var)
-        for _ in range(k):
-            result = result * self
-        return result
-
     # queries ------------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_positive(self) -> bool:
-        """True when every stored coefficient is positive (vacuously for 0)."""
-        return all(c > 0 for c in self.terms.values())
 
     @property
     def degree(self) -> int:
@@ -153,7 +171,7 @@ class LaurentPoly1:
 
 
 @dataclass(frozen=True)
-class LaurentPoly2:
+class LaurentPoly2(_Laurent):
     """Sparse Laurent polynomial in two variables over the integers."""
 
     vars: tuple[str, str]
@@ -162,6 +180,10 @@ class LaurentPoly2:
     def __post_init__(self) -> None:
         object.__setattr__(self, "vars", tuple(self.vars))
         object.__setattr__(self, "terms", MappingProxyType(_clean(self.terms)))
+
+    @property
+    def _tags(self) -> tuple[str, str]:
+        return self.vars
 
     @classmethod
     def zero(cls, vars: tuple[str, str] = ("v", "z")) -> "LaurentPoly2":
@@ -177,55 +199,19 @@ class LaurentPoly2:
     ) -> "LaurentPoly2":
         return cls(vars, {(e1, e2): coeff})
 
-    def _check(self, other: "LaurentPoly2") -> None:
-        if self.vars != other.vars:
-            raise ValueError(f"variable mismatch: {self.vars!r} vs {other.vars!r}")
-
-    def __add__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        self._check(other)
-        merged = dict(self.terms)
-        for e, c in other.terms.items():
-            merged[e] = merged.get(e, 0) + c
-        return LaurentPoly2(self.vars, merged)
-
-    def __sub__(self, other: "LaurentPoly2") -> "LaurentPoly2":
-        return self + (-other)
-
-    def __neg__(self) -> "LaurentPoly2":
-        return LaurentPoly2(self.vars, {e: -c for e, c in self.terms.items()})
-
-    def __mul__(self, other: "LaurentPoly2 | int") -> "LaurentPoly2":
-        if isinstance(other, int):
-            return LaurentPoly2(self.vars, {e: c * other for e, c in self.terms.items()})
-        self._check(other)
+    def _times(self, other: Mapping[tuple[int, int], int]) -> dict[tuple[int, int], int]:
         out: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
+            for (a2, b2), c2 in other.items():
                 key = (a1 + a2, b1 + b2)
                 out[key] = out.get(key, 0) + c1 * c2
-        return LaurentPoly2(self.vars, out)
-
-    __rmul__ = __mul__
+        return out
 
     def shift(self, e1: int, e2: int, coeff: int = 1) -> "LaurentPoly2":
         """Multiply by the monomial coeff * var1^e1 * var2^e2."""
         return LaurentPoly2(
             self.vars, {(a + e1, b + e2): c * coeff for (a, b), c in self.terms.items()}
         )
-
-    def __pow__(self, k: int) -> "LaurentPoly2":
-        if k < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        result = LaurentPoly2.one(self.vars)
-        for _ in range(k):
-            result = result * self
-        return result
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_positive(self) -> bool:
-        return all(c > 0 for c in self.terms.values())
 
     def coeff(self, e1: int, e2: int) -> int:
         return self.terms.get((e1, e2), 0)
@@ -269,9 +255,9 @@ def _render(items, names, unpack) -> str:
     return " ".join(parts)
 
 
-def _v_to_1(p: LaurentPoly1 | LaurentPoly2) -> LaurentPoly1:
-    if isinstance(p, LaurentPoly1):
-        return LaurentPoly1("z", {0: sum(p.terms.values())})
+def _v_to_1(p: LaurentPoly2) -> LaurentPoly1:
+    if not isinstance(p, LaurentPoly2):
+        raise ValueError("v -> 1 substitution applies to two-variable input")
     out: dict[int, int] = {}
     for (_, ze), c in p.terms.items():
         out[ze] = out.get(ze, 0) + c
@@ -290,23 +276,17 @@ def _z2_to_t(p: LaurentPoly1) -> LaurentPoly1:
     return total
 
 
-def _v2_to_neg_alpha(p: LaurentPoly1 | LaurentPoly2):
-    if isinstance(p, LaurentPoly1):
-        out1: dict[int, int] = {}
-        for e, c in p.terms.items():
-            if e % 2:
-                raise ValueError(f"v-exponent {e} is odd")
-            j = e // 2
-            out1[j] = out1.get(j, 0) + c * (-1) ** (j % 2)
-        return LaurentPoly1("alpha", out1)
-    out2: dict[tuple[int, int], int] = {}
+def _v2_to_neg_alpha(p: LaurentPoly2) -> LaurentPoly2:
+    if not isinstance(p, LaurentPoly2):
+        raise ValueError("v^2 -> -alpha substitution applies to two-variable input")
+    out: dict[tuple[int, int], int] = {}
     for (ve, ze), c in p.terms.items():
         if ve % 2:
             raise ValueError(f"v-exponent {ve} is odd")
         j = ve // 2
         key = (j, ze)
-        out2[key] = out2.get(key, 0) + c * (-1) ** (j % 2)
-    return LaurentPoly2(("alpha", "z"), out2)
+        out[key] = out.get(key, 0) + c * (-1) ** (j % 2)
+    return LaurentPoly2(("alpha", "z"), out)
 
 
 _RULES = {

@@ -14,15 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import (
-    BraidWord,
-    beta_braid,
-    cable_braid,
-    closure_stats,
-    kn_braid,
-    kn_plus_braid,
-)
-from .errors import BraidError, BudgetExceededError
+from .braid import BraidWord, cable_braid, closure_stats, kn_braid, kn_plus_braid
+from .errors import BraidError
 from .homfly import _alexander_of, homfly, p0
 from .poly import LaurentPoly1, LaurentPoly2, specialize
 
@@ -31,14 +24,11 @@ __all__ = [
     "ItoVerdict",
     "TopTermReport",
     "DecompositionReport",
-    "SuiteEntry",
     "sharpness",
     "ito_obstruction",
     "genus_kn",
     "verify_topterm",
     "skein_decomposition_check",
-    "nonsharpness_suite",
-    "sharpness_jobs",
 ]
 
 
@@ -85,23 +75,6 @@ class DecompositionReport:
     holds: bool
     lhs: LaurentPoly1
     rhs: LaurentPoly1
-
-
-@dataclass(frozen=True)
-class SuiteEntry:
-    """One nonsharpness-suite row.  report is None when the entry exceeded
-    its budget, in which case ok is None (unknown), never a guess."""
-
-    label: str
-    expected_sharp: bool
-    report: SharpnessReport | None
-    note: str = ""
-
-    @property
-    def ok(self) -> bool | None:
-        if self.report is None:
-            return None
-        return self.report.sharp == self.expected_sharp
 
 
 def sharpness(
@@ -220,33 +193,3 @@ def skein_decomposition_check(
         rhs = rhs + factor * q0(cable_braid(k)) * q0(kn_braid(n - k))
     rhs = rhs + q0(kn_plus_braid(n)).shift(-2 * (n - 1))
     return DecompositionReport(n=n, holds=lhs == rhs, lhs=lhs, rhs=rhs)
-
-
-def sharpness_jobs(n_max: int) -> list[tuple[str, int, BraidWord, bool]]:
-    """The sharpness sweep as (family, index, braid, expected_sharp) rows:
-    the trefoil control must be sharp, every cable braid X_k^3 . [1..k-1]
-    for k = 2..n_max and every kn_plus braid for n = 3..n_max must not be.
-    """
-    return (
-        [("trefoil", 1, BraidWord(2, (1, 1, 1)), True)]
-        + [("cable", k, cable_braid(k), False) for k in range(2, n_max + 1)]
-        + [("kn_plus", n, kn_plus_braid(n), False) for n in range(3, n_max + 1)]
-    )
-
-
-_SUITE_LABELS = {"trefoil": "trefoil control", "cable": "cable k={}", "kn_plus": "kn_plus n={}"}
-
-
-def nonsharpness_suite(
-    n_max: int, *, node_budget: int = 5_000_000, max_strands: int = 8
-) -> list[SuiteEntry]:
-    """Run :func:`sharpness_jobs`; an entry over budget is reported, not guessed."""
-    entries = []
-    for fam, index, braid, expected in sharpness_jobs(n_max):
-        label = _SUITE_LABELS[fam].format(index)
-        try:
-            report = sharpness(braid, node_budget=node_budget, max_strands=max_strands)
-            entries.append(SuiteEntry(label, expected, report))
-        except BudgetExceededError as exc:
-            entries.append(SuiteEntry(label, expected, None, note=str(exc)))
-    return entries

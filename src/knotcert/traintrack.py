@@ -18,9 +18,9 @@ parents plus a length table, again without expansion.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "EmbeddedGraph",
@@ -274,9 +274,10 @@ def is_irreducible(M: TransitionMatrix) -> bool:
     return reach(forward) == full and reach(backward) == full
 
 
-def pf_eigenvalue(
-    M: TransitionMatrix, tolerance: float = 1e-9, max_iterations: int = 500_000
-) -> float:
+_PF_MAX_ITERATIONS = 500_000
+
+
+def pf_eigenvalue(M: TransitionMatrix, tolerance: float = 1e-9) -> float:
     """Perron-Frobenius eigenvalue by power iteration on M + I (the shift
     makes an irreducible matrix primitive, so the iteration cannot oscillate
     between period classes).
@@ -291,7 +292,7 @@ def pf_eigenvalue(
         raise ValueError("empty matrix")
     shifted = [[float(M.rows[i][j]) + (i == j) for j in range(n)] for i in range(n)]
     x = [1.0] * n
-    for _ in range(max_iterations):
+    for _ in range(_PF_MAX_ITERATIONS):
         y = [sum(shifted[i][j] * x[j] for j in range(n)) for i in range(n)]
         ratios = [yi / xi for yi, xi in zip(y, x)]
         low, high = min(ratios), max(ratios)
@@ -299,7 +300,7 @@ def pf_eigenvalue(
             return (low + high) / 2 - 1.0
         top = max(y)
         x = [v / top for v in y]
-    raise RuntimeError(f"power iteration did not converge in {max_iterations} steps")
+    raise RuntimeError(f"power iteration did not converge in {_PF_MAX_ITERATIONS} steps")
 
 
 def _signed_images(gm: GraphMap) -> tuple[dict[str, int], list[str], dict[int, tuple[int, ...]]]:

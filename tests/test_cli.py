@@ -306,6 +306,13 @@ class TestFamily:
             main(["family", "beta", "--n", "2", "--emit", "invariants", "--no-cache", *cap])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_invariants_print_as_the_invariants_command(self, capsys, fmt):
+        fam = run(capsys, "family", "kn", "--n", "1", "--emit", "invariants", "--no-cache", *fmt)
+        inv = run(capsys, "invariants", "--braid", "1 1 1 1 1", "--no-cache", *fmt)
+        assert fam[0] == 0
+        assert fam == inv
+
 
 class TestCache:
     def test_path_respects_xdg(self, tmp_path, monkeypatch, capsys):

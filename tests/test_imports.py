@@ -1,0 +1,41 @@
+"""Every module imports only what it uses: an imported name must be
+referenced in the module or listed in its ``__all__``.  ``__init__.py`` is
+exempt, because its imports are the package's re-exports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import knotcert
+
+MODULES = sorted(p for p in Path(knotcert.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_guard_sees_an_unused_import():
+    source = "from typing import Iterable, Sequence\n__all__ = ['x']\nx: Iterable = ()\n"
+    assert unused_imports(source) == ["Sequence (line 1)"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

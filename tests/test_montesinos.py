@@ -55,6 +55,14 @@ class TestNormalize:
         assert str(SeifertData(-1, (Fraction(1, 2), Fraction(1, 3)))) == "M(-1; 1/2, 1/3)"
 
 
+    def test_criterion_triples_are_normal_forms(self):
+        """The L-space criterion reads the hand-normalized triples; the
+        determinant ledger reads the Montesinos data they normalize."""
+        for k in range(1, 1001):
+            assert normalize(ell0_montesinos(k)) == SeifertData(-1, ell0_triple(k))
+            assert normalize(ellinf_montesinos(k)) == SeifertData(-1, ellinf_triple(k))
+
+
 class TestLspaceCriterion:
     def test_anchor_k1(self):
         v0 = is_lspace_m1(*ell0_triple(1))

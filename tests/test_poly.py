@@ -137,6 +137,19 @@ class TestSpecialize:
         with pytest.raises(ValueError):
             specialize(LaurentPoly2.from_triples(("v", "z"), [[1, 0, 1]]), "v2_to_neg_alpha")
 
+    @pytest.mark.parametrize(
+        "p, rule",
+        [
+            (LaurentPoly1("v", {2: 1}), "v_to_1"),
+            (LaurentPoly1("v", {2: 1}), "v2_to_neg_alpha"),
+            (LaurentPoly2.one(), "z2_to_t"),
+        ],
+        ids=["v_to_1", "v2_to_neg_alpha", "z2_to_t"],
+    )
+    def test_wrong_shape_rejected(self, p, rule):
+        with pytest.raises(ValueError):
+            specialize(p, rule)
+
     def test_unknown_rule(self):
         with pytest.raises(ValueError):
             specialize(LaurentPoly1.one("v"), "no_such_rule")

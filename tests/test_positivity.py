@@ -8,7 +8,6 @@ from knotcert.errors import BraidError
 from knotcert.positivity import (
     genus_kn,
     ito_obstruction,
-    nonsharpness_suite,
     sharpness,
     skein_decomposition_check,
     verify_topterm,
@@ -149,12 +148,3 @@ class TestFamilyClaims:
 
     def test_decomposition_n3(self):
         assert skein_decomposition_check(3).holds
-
-    def test_suite_through_n3(self):
-        entries = nonsharpness_suite(3)
-        by_label = {e.label: e for e in entries}
-        assert by_label["trefoil control"].ok
-        assert by_label["cable k=2"].ok
-        assert by_label["cable k=3"].ok
-        assert by_label["kn_plus n=3"].ok
-        assert all(e.ok for e in entries)
