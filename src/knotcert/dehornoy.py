@@ -78,7 +78,8 @@ def _find_closing_handle(w: list[int], start: int) -> tuple[int, int] | None:
     return None
 
 
-def _reduce_once(w: list[int], p: int, q: int) -> list[int]:
+def _reduce_once(w: list[int], p: int, q: int) -> None:
+    """Reduce the handle w[p..q] in place: the prefix before p is not copied."""
     i = abs(w[q])
     e = 1 if w[p] > 0 else -1
     replacement: list[int] = []
@@ -88,7 +89,7 @@ def _reduce_once(w: list[int], p: int, q: int) -> list[int]:
             replacement.extend((-e * (i + 1), d * i, e * (i + 1)))
         else:
             replacement.append(x)
-    return w[:p] + replacement + w[q + 1:]
+    w[p:q + 1] = replacement
 
 
 def _reduce_core(letters: list[int], step_budget: int) -> tuple[list[int], int]:
@@ -106,7 +107,7 @@ def _reduce_core(letters: list[int], step_budget: int) -> tuple[list[int], int]:
                 f"handle reduction exceeded {step_budget} steps", spent=steps
             )
         p, q = found
-        w = _reduce_once(w, p, q)
+        _reduce_once(w, p, q)
         steps += 1
         # the prefix before p is untouched, so no handle can close before p
         scan_from = p

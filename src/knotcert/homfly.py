@@ -34,7 +34,6 @@ with a branch, a mixed crossing only rescales:
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -584,7 +583,6 @@ class PolynomialCache:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._memory: dict[str, LaurentPoly2] = {}
-        self._lock = threading.Lock()
         self._load()
 
     def _load(self) -> None:
@@ -604,33 +602,29 @@ class PolynomialCache:
                 continue  # advisory cache: skip damage silently
 
     def get(self, key: str) -> LaurentPoly2 | None:
-        with self._lock:
-            return self._memory.get(key)
+        return self._memory.get(key)
 
     def put(self, key: str, strands: int, poly: LaurentPoly2, algorithm: str) -> None:
-        with self._lock:
-            if self._memory.get(key) == poly:
-                return  # a differing record is replaced; the last line wins on load
-            self._memory[key] = poly
-            record = {
-                "word": key,
-                "strands": strands,
-                "tags": list(poly.vars),
-                "terms": poly.to_triples(),
-                "alg": algorithm,
-                "version": self.VERSION,
-            }
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        if self._memory.get(key) == poly:
+            return  # a differing record is replaced; the last line wins on load
+        self._memory[key] = poly
+        record = {
+            "word": key,
+            "strands": strands,
+            "tags": list(poly.vars),
+            "terms": poly.to_triples(),
+            "alg": algorithm,
+            "version": self.VERSION,
+        }
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        with self.path.open("a") as fh:
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     def stats(self) -> dict:
-        with self._lock:
-            size = self.path.stat().st_size if self.path.exists() else 0
-            return {"path": str(self.path), "records": len(self._memory), "bytes": size}
+        size = self.path.stat().st_size if self.path.exists() else 0
+        return {"path": str(self.path), "records": len(self._memory), "bytes": size}
 
     def clear(self) -> None:
-        with self._lock:
-            self._memory.clear()
-            if self.path.exists():
-                self.path.unlink()
+        self._memory.clear()
+        if self.path.exists():
+            self.path.unlink()

@@ -337,6 +337,10 @@ def is_efficient_up_to(gm: GraphMap, bound: int) -> EfficiencyReport:
     evolves deterministically, so revisiting an earlier state without having
     met a back track proves the map never develops one at any order; the
     report flags that as stabilized.
+
+    The edges of one call walk into the same few states, so the call keeps
+    one successor table that all its edges share; each edge still keeps its
+    own seen set and level count.  The table lives only as long as the call.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -356,26 +360,39 @@ def is_efficient_up_to(gm: GraphMap, bound: int) -> EfficiencyReport:
             within_of[x] = frozenset(zip(w, w[1:]))
             first_of[x], last_of[x] = w[0], w[-1]
 
+    def advance(state):
+        """(L_{m+1}, A_{m+1}) and the first back track listed in A_{m+1}."""
+        L, A = state
+        newL = frozenset().union(*(letters_of[x] for x in L))
+        junction = {(last_of[x], first_of[y]) for (x, y) in A}
+        newA = frozenset().union(*(within_of[x] for x in L), junction)
+        return (newL, newA), next((p for p in newA if p[0] == -p[1]), None)
+
+    successor: dict[tuple, tuple] = {}
     stabilized_all = True
     for e_id in sorted(images):
-        L: frozenset[int] = frozenset((e_id,))
-        A: frozenset[tuple[int, int]] = frozenset()
-        seen = {(L, A)}
+        state = (frozenset((e_id,)), frozenset())
+        seen = {state}
         stabilized = False
         for m in range(1, bound + 1):
-            newL = frozenset().union(*(letters_of[x] for x in L))
-            junction = {(last_of[x], first_of[y]) for (x, y) in A}
-            newA = frozenset().union(*(within_of[x] for x in L), junction)
-            bad = next((p for p in newA if p[0] == -p[1]), None)
+            step = successor.get(state)
+            if step is None:
+                step = successor[state] = advance(state)
+            state, bad = step
             if bad is not None:
-                label = order[e_id - 1]
+                # A back track ends the call, so this step was computed just
+                # now, but maybe from another edge's copy of these sets, which
+                # can list its pairs in another order.  Replay this edge alone
+                # so the witness is the pair its own sets list first.
+                state = (frozenset((e_id,)), frozenset())
+                for _ in range(m):
+                    state, bad = advance(state)
                 position = _witness_position(images, e_id, m, bad)
-                return EfficiencyReport(False, bound, (m, label, position), False)
-            L, A = newL, newA
-            if (L, A) in seen:
+                return EfficiencyReport(False, bound, (m, order[e_id - 1], position), False)
+            if state in seen:
                 stabilized = True
                 break
-            seen.add((L, A))
+            seen.add(state)
         stabilized_all = stabilized_all and stabilized
     return EfficiencyReport(True, bound, None, stabilized_all)
 

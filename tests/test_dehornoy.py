@@ -1,8 +1,10 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from knotcert.braid import BraidWord, compose, inverse
+from knotcert.braid import BraidWord, beta_braid, compose, half_twist, inverse, power, x_braid
 from knotcert.dehornoy import (
+    _find_closing_handle,
+    _reduce_core,
     dehornoy_less,
     floor_exceeds_one,
     handle_reduce,
@@ -18,6 +20,44 @@ def words(max_strands=4, max_len=10):
             max_size=max_len,
         ).map(lambda ls: BraidWord(n, tuple(ls)))
     )
+
+
+def _reference_reduce_once(w, p, q):
+    """Handle reduction as first written, kept as the reference: each step
+    builds a new word from the prefix, the rewritten interior and the suffix."""
+    i = abs(w[q])
+    e = 1 if w[p] > 0 else -1
+    replacement = []
+    for x in w[p + 1:q]:
+        if abs(x) == i + 1:
+            d = 1 if x > 0 else -1
+            replacement.extend((-e * (i + 1), d * i, e * (i + 1)))
+        else:
+            replacement.append(x)
+    return w[:p] + replacement + w[q + 1:]
+
+
+def _reference_reduce_core(letters, step_budget):
+    w = list(letters)
+    steps = 0
+    scan_from = 0
+    while True:
+        found = _find_closing_handle(w, scan_from)
+        if found is None:
+            return w, steps
+        if steps >= step_budget:
+            raise BudgetExceededError("reference budget", spent=steps)
+        p, q = found
+        w = _reference_reduce_once(w, p, q)
+        steps += 1
+        scan_from = p
+
+
+def floor_word(n):
+    """The word whose handle reduction certifies floor_exceeds_one(n)."""
+    x = x_braid(n)
+    conj = compose(compose(x, beta_braid(n)), inverse(x))
+    return compose(inverse(power(half_twist(2 * n), 4)), conj)
 
 
 class TestReduction:
@@ -124,5 +164,27 @@ class TestFloorCertificates:
             floor_exceeds_one(1)
 
     def test_step_counts_are_stable(self):
-        assert floor_exceeds_one(2).steps == 55
-        assert floor_exceeds_one(3).steps == 197
+        steps = [floor_exceeds_one(n).steps for n in range(2, 9)]
+        assert steps == [55, 197, 479, 949, 1_655, 2_645, 3_967]
+
+
+class TestInPlaceSplice:
+    """The in-place splice reduces the same handles as the rebuilding
+    reference: same handle-free word, same step count, same budget point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(words(max_strands=6, max_len=14))
+    @example(floor_word(2))
+    @example(floor_word(3))
+    def test_matches_rebuilding_reference(self, b):
+        want, steps = _reference_reduce_core(b.letters, 10**6)
+        assert _reduce_core(list(b.letters), 10**6) == (want, steps)
+        if steps >= 2:
+            with pytest.raises(BudgetExceededError) as err:
+                _reduce_core(list(b.letters), steps - 1)
+            assert err.value.spent == steps - 1
+
+    def test_input_list_untouched(self):
+        letters = [2, 1, -2, -1, 3, -2]
+        _reduce_core(letters, 100)
+        assert letters == [2, 1, -2, -1, 3, -2]

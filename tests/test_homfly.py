@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from knotcert import dehornoy, montesinos, traintrack
 from knotcert.braid import (
     BraidWord,
     braid_text,
@@ -240,7 +241,9 @@ class TestHistoryIndependence:
 
     def test_no_module_level_containers(self):
         # a module-level dict, list or set is where a global memo would hide
-        found = [name for name, value in vars(engine).items()
+        found = [f"{module.__name__}.{name}"
+                 for module in (engine, dehornoy, traintrack, montesinos)
+                 for name, value in vars(module).items()
                  if isinstance(value, (dict, list, set))
                  and name not in ("__all__", "__builtins__")]
         assert found == []
@@ -299,12 +302,12 @@ def _reference_walk(word, strands):
     return passes, flags, stats.components
 
 
-def _least_rotation(letters):
-    return min((letters[i:] + letters[:i] for i in range(len(letters))), default=letters)
-
-
-def _reference_key(b):
-    return braid_text(BraidWord(b.strands, _least_rotation(b.letters)))
+def _assert_least_rotation(letters, rotated):
+    """Property check, written apart from the code under test: ``rotated`` is
+    a rotation of ``letters`` and no rotation of ``letters`` is smaller."""
+    rotations = [letters[i:] + letters[:i] for i in range(len(letters))] or [letters]
+    assert rotated in rotations
+    assert not any(r < rotated for r in rotations)
 
 
 def periodic_words(max_strands=6, max_len=16):
@@ -329,14 +332,15 @@ class TestWalkAndRotation:
     @settings(max_examples=300, deadline=None)
     @given(periodic_words())
     def test_rotation_is_least(self, b):
-        assert _canonical_rotation(b.letters) == _least_rotation(b.letters)
-        assert canonical_key(b) == _reference_key(b)
+        rotated = _canonical_rotation(b.letters)
+        _assert_least_rotation(b.letters, rotated)
+        assert canonical_key(b) == braid_text(BraidWord(b.strands, rotated))
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from((1, 2, -1)), max_size=14).map(tuple))
     def test_rotation_small_alphabet(self, letters):
         # few distinct letters give many ties between rotations
-        assert _canonical_rotation(letters) == _least_rotation(letters)
+        _assert_least_rotation(letters, _canonical_rotation(letters))
 
     def test_canonical_key_text(self):
         assert canonical_key(BraidWord(3, (2, -1, 1, 2))) == "strands=3 -1 1 2 2"

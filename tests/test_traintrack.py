@@ -4,7 +4,11 @@ import random
 import pytest
 
 from knotcert.traintrack import (
+    EfficiencyReport,
     EmbeddedGraph,
+    _image_of,
+    _signed_images,
+    _witness_position,
     GraphMap,
     TransitionMatrix,
     is_efficient_up_to,
@@ -50,6 +54,47 @@ def has_backtrack(word):
         if a == "-" + b or b == "-" + a:
             return True
     return False
+
+
+def reference_efficiency(gm, bound):
+    """The efficiency scan as first written, kept as the reference: every
+    edge propagates its own letter and pair sets, sharing nothing."""
+    assert validate(gm).ok
+    _, order, images = _signed_images(gm)
+    letters_of, within_of, first_of, last_of = {}, {}, {}, {}
+    for label_id in images:
+        for x in (label_id, -label_id):
+            w = _image_of(images, x)
+            letters_of[x] = frozenset(w)
+            within_of[x] = frozenset(zip(w, w[1:]))
+            first_of[x], last_of[x] = w[0], w[-1]
+    stabilized_all = True
+    for e_id in sorted(images):
+        L, A = frozenset((e_id,)), frozenset()
+        seen = {(L, A)}
+        stabilized = False
+        for m in range(1, bound + 1):
+            newL = frozenset().union(*(letters_of[x] for x in L))
+            junction = {(last_of[x], first_of[y]) for (x, y) in A}
+            newA = frozenset().union(*(within_of[x] for x in L), junction)
+            bad = next((p for p in newA if p[0] == -p[1]), None)
+            if bad is not None:
+                position = _witness_position(images, e_id, m, bad)
+                return EfficiencyReport(False, bound, (m, order[e_id - 1], position), False)
+            L, A = newL, newA
+            if (L, A) in seen:
+                stabilized = True
+                break
+            seen.add((L, A))
+        stabilized_all = stabilized_all and stabilized
+    return EfficiencyReport(True, bound, None, stabilized_all)
+
+
+def random_bouquet(rng):
+    labels = "abcd"[: rng.randint(3, 4)]
+    tokens = list(labels) + ["-" + x for x in labels]
+    return bouquet({x: tuple(rng.choice(tokens) for _ in range(rng.randint(1, 4)))
+                    for x in labels})
 
 
 class TestValidation:
@@ -208,6 +253,29 @@ class TestEfficiency:
             word = expand(gm, (edge,), m)
             assert word[pos].lstrip("-") == word[pos + 1].lstrip("-")
             assert word[pos] != word[pos + 1]
+
+
+class TestSharedStates:
+    """The edges of one scan share the states they walk through; the report
+    must be the one the unshared reference scan gives."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_bouquets_match_reference(self, seed):
+        rng = random.Random(seed)
+        backtracks = 0
+        for _ in range(40):
+            gm = random_bouquet(rng)
+            for bound in range(1, 9):
+                rep = is_efficient_up_to(gm, bound)
+                assert rep == reference_efficiency(gm, bound)
+                backtracks += not rep.efficient
+        assert backtracks  # the witness path ran, not only the efficient one
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_family_maps_match_reference(self, n):
+        gm = kn_map(n)
+        bound = 2 * (2 * n + 2)
+        assert is_efficient_up_to(gm, bound) == reference_efficiency(gm, bound)
 
 
 class TestBuiltinFamily:
