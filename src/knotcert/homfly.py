@@ -34,6 +34,7 @@ with a branch, a mixed crossing only rescales:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -196,6 +197,23 @@ def _check_unit_identity(P: LaurentPoly2, components: int) -> None:
         raise ArithmeticError("HOMFLY polynomial fails P(v, v^-1 - v) = 1; engine fault")
 
 
+def _check_p0_identity(p: LaurentPoly1, components: int) -> None:
+    """Raise unless f = p0(v) v^(c-1) - (v^-1 - v)^(c-1) has double roots at
+    v = 1 and v = -1.
+
+    z^(c-1) P(v, v^-1 - v) = (v^-1 - v)^(c-1), and every p^i with i >= 1
+    enters it times (v^-1 - v)^(2i), which vanishes to second order at +-1.
+    The check is four exact integer sums, f(1), f'(1), f(-1) and f'(-1) up to
+    sign, with (-1)^e taken from the parity of e.
+    """
+    f = {e + components - 1: c for e, c in p.terms.items()}
+    _add_into(f, _pow1({-1: 1, 1: -1}, components - 1), scale=-1)
+    at_minus = {e: -c if e & 1 else c for e, c in f.items()}
+    if (sum(f.values()) or sum(e * c for e, c in f.items())
+            or sum(at_minus.values()) or sum(e * c for e, c in at_minus.items())):
+        raise ArithmeticError("p0 fails its identity at v = +-1; engine fault")
+
+
 def _check_hecke_cap(strands: int, max_strands: int) -> None:
     if strands > max_strands:
         raise BudgetExceededError(
@@ -249,40 +267,40 @@ def _canonical_rotation(letters: tuple[int, ...]) -> tuple[int, ...]:
 def _simplify(word: tuple[int, ...], strands: int) -> tuple[tuple[int, ...], int]:
     """Closure-preserving reductions: free and cyclic cancellation plus
     destabilization of a generator that occurs exactly once at either end of
-    the strand range."""
+    the strand range.  The stack loop runs only when a C-level scan finds an
+    adjacent or end-to-end inverse pair."""
     w = list(word)
-    changed = True
-    while changed:
-        changed = False
-        out: list[int] = []
-        for x in w:
-            if out and out[-1] == -x:
-                out.pop()
-                changed = True
-            else:
-                out.append(x)
-        while len(out) >= 2 and out[0] == -out[-1]:
-            out = out[1:-1]
-            changed = True
-        w = out
-        if strands >= 2:
-            top = [i for i, x in enumerate(w) if abs(x) == strands - 1]
-            if len(top) == 1:
-                del w[top[0]]
-                strands -= 1
-                changed = True
-                continue
-            low = [i for i, x in enumerate(w) if abs(x) == 1]
-            if len(low) == 1:
-                del w[low[0]]
-                w = [x - 1 if x > 0 else x + 1 for x in w]
-                strands -= 1
-                changed = True
+    while True:
+        if w and (w[0] == -w[-1] or any(map(operator.eq, w[1:], map(operator.neg, w)))):
+            out: list[int] = []
+            for x in w:
+                if out and out[-1] == -x:
+                    out.pop()
+                else:
+                    out.append(x)
+            while len(out) >= 2 and out[0] == -out[-1]:
+                out = out[1:-1]
+            w = out
+        if strands < 2:
+            break
+        top = strands - 1
+        n_top = w.count(top)
+        if n_top + w.count(-top) == 1:
+            del w[w.index(top if n_top else -top)]
+            strands -= 1
+            continue
+        n_low = w.count(1)
+        if n_low + w.count(-1) == 1:
+            del w[w.index(1 if n_low else -1)]
+            w = [x - 1 if x > 0 else x + 1 for x in w]
+            strands -= 1
+            continue
+        break
     return tuple(w), strands
 
 
 def _find_split(word: tuple[int, ...], strands: int) -> int | None:
-    used = {abs(x) for x in word}
+    used = set(map(abs, word))
     for k in range(1, strands):
         if k not in used:
             return k
@@ -347,21 +365,37 @@ _P0_RULES = ({-2: 1, 0: -1}, (2, 1), (0, -1), False)
 _HOMFLY_RULES = ({-1 - _ZKEY: 1, 1 - _ZKEY: -1}, (1 + _ZKEY, 1), (_ZKEY - 1, -1), True)
 
 
+def _with_powers(rules: tuple, strands: int) -> tuple:
+    """The rule row for one call on ``strands`` strands, its split factor
+    replaced by the list of the factor's powers 0..strands-1."""
+    split, *rest = rules
+    powers = [{0: 1}]
+    for _ in range(strands - 1):
+        powers.append(_mul1(powers[-1], split))
+    return (powers, *rest)
+
+
 def _resolve(word: tuple, strands: int, budget: _Budget, rules: tuple, memo: dict | None) -> dict:
     """Descending walk under one rule row: each crossing first met from below
     is switched, adding its smoothing where the row says so, until the word
-    is an unlink; the running factor is the monomial v^shift.  ``memo``, for
-    one call or None, maps (strands, least rotation) to node values, which no
-    caller mutates, so they are stored and served without copies."""
-    split, plus, minus, mixed_branches = rules
+    is an unlink; the running factor is the monomial v^shift.
+
+    ``rules`` is a row from :func:`_with_powers`: its first entry lists the
+    split factor's powers 0..strands-1 for the top-level word, built once per
+    call, so the unlink value, the split product and the closing term index
+    that list.  Strand counts only fall below the top level, so every index
+    is in range.  ``memo``, for one call or None, maps (strands, least
+    rotation) to node values.  No caller mutates a node value, so the power
+    entries and memo values are shared without copies."""
+    powers, plus, minus, mixed_branches = rules
     word, strands = _simplify(word, strands)
     if not word:
-        return _pow1(split, strands - 1)
+        return powers[strands - 1]
     k = _find_split(word, strands)
     if k is not None:
         (lw, ls), (rw, rs) = _split_words(word, strands, k)
         prod = _mul1(_resolve(lw, ls, budget, rules, memo), _resolve(rw, rs, budget, rules, memo))
-        return _mul1(prod, split)
+        return _mul1(prod, powers[1])
     if memo is not None:
         key = (strands, _canonical_rotation(word))
         if key in memo:
@@ -385,7 +419,7 @@ def _resolve(word: tuple, strands: int, budget: _Budget, rules: tuple, memo: dic
             _add_into(total, sub, shift + de, sign)
         shift += 2 if positive else -2
         cur[t] = -cur[t]
-    _add_into(total, _pow1(split, ncomps - 1), shift)
+    _add_into(total, powers[ncomps - 1], shift)
     if memo is not None:
         memo[key] = total
     return total
@@ -398,7 +432,8 @@ def skein_homfly(b: BraidWord, *, node_budget: int = 200_000) -> LaurentPoly2:
     by ``node_budget`` resolver nodes.  Its node memo lives for this call.
     """
     budget = _Budget(node_budget)
-    packed = _resolve(b.letters, b.strands, budget, _HOMFLY_RULES, {})
+    rules = _with_powers(_HOMFLY_RULES, b.strands)
+    packed = _resolve(b.letters, b.strands, budget, rules, {})
     half = _ZKEY >> 1
     terms = {}
     for e, c in packed.items():
@@ -520,20 +555,27 @@ def p0(
 
     Tries the dedicated skein fast path first; on budget exhaustion falls
     back to extracting p^0 from the full Hecke HOMFLY polynomial.  The result,
-    by either path, is shared through ``memo`` as in :func:`homfly`.
+    by either path, must pass :func:`_check_p0_identity` and is shared through
+    ``memo`` as in :func:`homfly`.
     """
 
     def compute() -> LaurentPoly1:
         try:
             budget = _Budget(node_budget)
-            return LaurentPoly1("v", _resolve(b.letters, b.strands, budget, _P0_RULES, None))
+            rules = _with_powers(_P0_RULES, b.strands)
+            return LaurentPoly1("v", _resolve(b.letters, b.strands, budget, rules, None))
         except BudgetExceededError:
             if not fallback:
                 raise
         P = homfly(b, max_strands=max_strands, memo=memo)
         return coefficient_polys(P, closure_stats(b).components).coeffs[0]
 
-    return _memoized(memo, "p0", b, compute)
+    def checked() -> LaurentPoly1:
+        result = compute()
+        _check_p0_identity(result, closure_stats(b).components)
+        return result
+
+    return _memoized(memo, "p0", b, checked)
 
 
 def _alexander_of(P: LaurentPoly2) -> LaurentPoly1:

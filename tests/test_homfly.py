@@ -20,10 +20,14 @@ from knotcert.braid import (
 )
 from knotcert.errors import BudgetExceededError
 from knotcert.homfly import (
+    CoefficientDecomposition,
     PolynomialCache,
     _alexander_of,
     _canonical_rotation,
+    _check_p0_identity,
     _check_unit_identity,
+    _find_split,
+    _simplify,
     _walk_passes,
     alexander,
     canonical_key,
@@ -207,6 +211,53 @@ class TestBudgets:
         assert p0(b, node_budget=2, fallback=True) == want
 
 
+def _planted_top(poly: LaurentPoly1) -> LaurentPoly1:
+    """``poly`` with its top coefficient off by one."""
+    top, coeff = poly.top_term()
+    return poly + LaurentPoly1.monomial("v", top, 1 if coeff > 0 else -1)
+
+
+class TestP0Identity:
+    """p0(v) v^(c-1) - (v^-1 - v)^(c-1) vanishes to second order at v = +-1,
+    and p0() raises on a result that breaks it, by either path."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(words(max_strands=7, max_len=12))
+    @example(BraidWord(1, ()))
+    @example(BraidWord(7, ()))  # the 7-component unlink
+    def test_holds_on_random_words(self, b):
+        _check_p0_identity(p0(b, fallback=False), closure_stats(b).components)
+
+    @pytest.mark.parametrize("change", [
+        [(3, 1), (1, -3), (0, -2)],  # (v + 1)^2 (v - 2): breaks only f(1)
+        [(3, 1), (2, 1), (1, -1), (0, -1)],  # (v - 1)(v + 1)^2: only f'(1)
+        [(3, 1), (1, -3), (0, 2)],  # (v - 1)^2 (v + 2): only f(-1)
+        [(3, 1), (2, -1), (1, -1), (0, 1)],  # (v - 1)^2 (v + 1): only f'(-1)
+    ])
+    def test_each_sum_is_needed(self, change):
+        good = p0(kn_braid(3))
+        with pytest.raises(ArithmeticError):
+            _check_p0_identity(good + LaurentPoly1.from_pairs("v", change), 1)
+
+    def test_second_order_is_all_it_sees(self):
+        # adding (v^2 - 1)^2 keeps double roots at +-1, so the check passes
+        changed = p0(kn_braid(3)) + LaurentPoly1.from_pairs("v", [(4, 1), (2, -2), (0, 1)])
+        _check_p0_identity(changed, 1)
+
+    def test_planted_top_on_resolver_path(self, monkeypatch):
+        planted = _planted_top(p0(kn_braid(3)))
+        assert planted.top_term() != (36, -1)
+        monkeypatch.setattr(engine, "_resolve", lambda *args: dict(planted.terms))
+        with pytest.raises(ArithmeticError):
+            p0(kn_braid(3), fallback=False)
+
+    def test_planted_top_on_hecke_fallback(self, monkeypatch):
+        planted = CoefficientDecomposition(1, (_planted_top(p0(kn_braid(3))),)).reassemble()
+        monkeypatch.setattr(engine, "homfly", lambda b, **kw: planted)
+        with pytest.raises(ArithmeticError):
+            p0(kn_braid(3), node_budget=1, fallback=True)
+
+
 class TestHistoryIndependence:
     """Budgets and results do not depend on earlier calls in the process;
     only a run memo that the caller passes shares results between calls."""
@@ -249,7 +300,7 @@ class TestHistoryIndependence:
         assert found == []
 
 
-BETA_P0_NODES = [(2, 21), (3, 194), (4, 1_950)]  # p0(beta_5) takes 20,557
+BETA_P0_NODES = [(2, 21), (3, 194), (4, 1_950)]
 
 
 class TestWorkCounts:
@@ -266,6 +317,15 @@ class TestWorkCounts:
         with pytest.raises(BudgetExceededError) as err:
             p0(kn_braid(n), node_budget=nodes - 1, fallback=False)
         assert err.value.spent == nodes - 1
+
+    def test_p0_beta5_nodes(self):
+        # one resolver call, 0.7-1.5 s on 2 cores: the work behind `topterm --n 5`
+        b = kn_braid(5)
+        budget = engine._Budget(10**8)
+        rules = engine._with_powers(engine._P0_RULES, b.strands)
+        value = engine._resolve(b.letters, b.strands, budget, rules, None)
+        assert budget.spent == 20_557
+        assert LaurentPoly1("v", value).top_term() == (90, -1)
 
     def test_skein_beta2_nodes(self):
         assert skein_homfly(kn_braid(2), node_budget=203) == hecke_homfly(kn_braid(2))
@@ -300,6 +360,89 @@ def _reference_walk(word, strands):
                 break
     flags = [table[t][abs(x) - 1] == table[t][abs(x)] for t, x in enumerate(word)]
     return passes, flags, stats.components
+
+
+def _reference_simplify(word, strands):
+    """The reductions as first written, kept as the reference: a stack pass
+    and cyclic stripping on every round, then a list of positions for the
+    generator at each end of the strand range."""
+    w = list(word)
+    changed = True
+    while changed:
+        changed = False
+        out = []
+        for x in w:
+            if out and out[-1] == -x:
+                out.pop()
+                changed = True
+            else:
+                out.append(x)
+        while len(out) >= 2 and out[0] == -out[-1]:
+            out = out[1:-1]
+            changed = True
+        w = out
+        if strands >= 2:
+            top = [i for i, x in enumerate(w) if abs(x) == strands - 1]
+            if len(top) == 1:
+                del w[top[0]]
+                strands -= 1
+                changed = True
+                continue
+            low = [i for i, x in enumerate(w) if abs(x) == 1]
+            if len(low) == 1:
+                del w[low[0]]
+                w = [x - 1 if x > 0 else x + 1 for x in w]
+                strands -= 1
+                changed = True
+    return tuple(w), strands
+
+
+def _reference_find_split(word, strands):
+    used = {abs(x) for x in word}
+    return next((k for k in range(1, strands) if k not in used), None)
+
+
+def _spliced(b, g, u, cut):
+    """g b[:cut] u u^-1 b[cut:] g^-1 as a braid word."""
+    inverse_u = tuple(-x for x in reversed(u))
+    return BraidWord(b.strands, (g,) + b.letters[:cut] + tuple(u) + inverse_u
+                     + b.letters[cut:] + (-g,))
+
+
+def reducible_words(max_strands=7, max_len=10):
+    """Mixed-sign words with an inverse pair spliced in and a conjugating
+    letter around them, so free and cyclic cancellation both occur often."""
+    def on(b):
+        letter = st.sampled_from([i for i in range(-(b.strands - 1), b.strands) if i])
+        return st.tuples(letter, st.lists(letter, max_size=4), st.integers(0, len(b.letters))
+                         ).map(lambda t: _spliced(b, *t))
+    return words(max_strands, max_len).flatmap(on)
+
+
+class TestSimplify:
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(words(max_strands=7, max_len=20), reducible_words()))
+    @example(BraidWord(4, (1, 2, 2, -1)))  # cyclic cancellation only
+    @example(BraidWord(4, (2, 1, -1, 3, 3, -2)))  # free, then cyclic
+    @example(BraidWord(3, (1, 1, 2)))  # destabilizes the top
+    @example(BraidWord(3, (-1, 2, 2)))  # destabilizes the bottom
+    @example(BraidWord(4, (1, -2, 3)))  # collapses to the empty word
+    @example(BraidWord(3, (1, 2, -2, -1)))  # cancels to the empty word
+    @example(BraidWord(2, (1, -1, 1)))
+    @example(BraidWord(7, ()))
+    def test_matches_reference(self, b):
+        got = _simplify(b.letters, b.strands)
+        assert got == _reference_simplify(b.letters, b.strands)
+        assert _find_split(b.letters, b.strands) == _reference_find_split(b.letters, b.strands)
+        assert _find_split(*got) == _reference_find_split(*got)
+
+    def test_examples_reduce_as_stated(self):
+        assert _simplify((1, 2, 2, -1), 4) == ((2, 2), 4)
+        assert _simplify((2, 1, -1, 3, 3, -2), 4) == ((3, 3), 4)
+        assert _simplify((1, 1, 2), 3) == ((1, 1), 2)
+        assert _simplify((-1, 2, 2), 3) == ((1, 1), 2)
+        assert _simplify((1, -2, 3), 4) == ((), 1)
+        assert _simplify((1, 2, -2, -1), 3) == ((), 3)
 
 
 def _assert_least_rotation(letters, rotated):

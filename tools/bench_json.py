@@ -111,7 +111,7 @@ def compare(parent: list[dict], change: list[dict], better: dict[str, str]) -> t
             counts[str(seed)] = next(r["counts"] for r in p_runs if r["seed"] == seed)
             if len(seen) != 1:
                 problems.append(f"{name} seed {seed}: exact counts differ between runs")
-                counts[str(seed)] = {"differ": sorted(json.loads(s) for s in seen)}
+                counts[str(seed)] = {"differ": [json.loads(s) for s in sorted(seen)]}
 
         workloads[name] = {
             "runs": len(p_runs),
