@@ -365,10 +365,7 @@ def kn_plus_braid(n: int) -> BraidWord:
     """The all-positive companion of beta_n: the tail negatives made positive."""
     if n < 2:
         raise BraidError("kn_plus family needs n >= 2")
-    tail = list(range(1, n))
-    tail += list(range(n, 0, -1))
-    tail += list(range(1, n + 1))
-    return BraidWord(2 * n, power(x_braid(n), 3).letters + tuple(tail))
+    return BraidWord(2 * n, tuple(abs(x) for x in beta_braid(n).letters))
 
 
 def cable_braid(k: int) -> BraidWord:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .braid import BraidWord, beta_braid, compose, half_twist, inverse, power, x_braid
+from .braid import BraidWord, beta_conjugated_braid, compose, half_twist, inverse, power
 from .errors import BraidError, BudgetExceededError
 
 __all__ = [
@@ -123,18 +123,24 @@ def handle_reduce(b: BraidWord, step_budget: int = DEFAULT_STEP_BUDGET) -> Braid
     return BraidWord(b.strands, tuple(w))
 
 
-def sigma_classify(b: BraidWord, step_budget: int = DEFAULT_STEP_BUDGET) -> SigmaClass:
-    """Classify a braid by the sign of the minimal-index generator in its
-    handle-free form."""
-    reduced = handle_reduce(b, step_budget)
-    if not reduced.letters:
+def _classify(strands: int, letters: list[int]) -> SigmaClass:
+    """Classify a handle-free word by the sign of its minimal-index generator."""
+    reduced = BraidWord(strands, tuple(letters))
+    if not letters:
         return SigmaClass("trivial", None, reduced)
-    main = min(abs(x) for x in reduced.letters)
-    signs = {x > 0 for x in reduced.letters if abs(x) == main}
+    main = min(abs(x) for x in letters)
+    signs = {x > 0 for x in letters if abs(x) == main}
     if len(signs) != 1:
         raise AssertionError("handle-free word has mixed signs at its main index")
     verdict = "sigma_positive" if signs.pop() else "sigma_negative"
     return SigmaClass(verdict, main, reduced)
+
+
+def sigma_classify(b: BraidWord, step_budget: int = DEFAULT_STEP_BUDGET) -> SigmaClass:
+    """Classify a braid by the sign of the minimal-index generator in its
+    handle-free form."""
+    letters, _ = _reduce_core(list(b.letters), step_budget)
+    return _classify(b.strands, letters)
 
 
 def dehornoy_less(a: BraidWord, b: BraidWord, step_budget: int = DEFAULT_STEP_BUDGET) -> bool:
@@ -149,12 +155,9 @@ def floor_exceeds_one(n: int, step_budget: int = DEFAULT_STEP_BUDGET) -> FloorCe
     sigma-positive handle-free form of Delta^-4 X_n beta_n X_n^-1."""
     if n < 2:
         raise BraidError("floor certificate needs n >= 2")
-    delta4 = power(half_twist(2 * n), 4)
-    x = x_braid(n)
-    conj = compose(compose(x, beta_braid(n)), inverse(x))
-    word = compose(inverse(delta4), conj)
+    word = compose(inverse(power(half_twist(2 * n), 4)), beta_conjugated_braid(n))
     letters, steps = _reduce_core(list(word.letters), step_budget)
-    cls = sigma_classify(BraidWord(word.strands, tuple(letters)), step_budget)
+    cls = _classify(word.strands, letters)
     return FloorCertificate(
         n=n,
         holds=cls.verdict == "sigma_positive",

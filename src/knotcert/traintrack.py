@@ -11,8 +11,9 @@ peripheral circles and 2n+2 real edges.
 Back-track detection never expands image words.  The set of letters and the
 set of adjacent letter pairs of g^m(e) satisfy an exact closed recursion, so
 both are propagated as sets; a pair (x, x reversed) at level m is a back
-track, and its position inside g^m(e) is recovered afterwards from recorded
-parents plus a length table, again without expansion.
+track, and its position inside g^m(e) is recovered afterwards by tracing it
+through the scan's own level sets to its least parents, plus a length table,
+again without expansion.
 """
 
 from __future__ import annotations
@@ -222,15 +223,13 @@ def validate(gm: GraphMap) -> MapDiagnostics:
 
 
 def transition(gm: GraphMap, subset: str | Sequence[str] = "real") -> TransitionMatrix:
-    """Multiplicity matrix over the selected edges ("real", "all", or an
-    explicit label sequence).  The map must pass validation."""
+    """Multiplicity matrix over the selected edges ("real" or an explicit
+    label sequence).  The map must pass validation."""
     diag = validate(gm)
     if not diag.ok:
         raise ValueError("map failed validation: " + "; ".join(diag.issues))
     if subset == "real":
         labels = diag.real
-    elif subset == "all":
-        labels = tuple(sorted(gm.graph.edges, key=_edge_sort_key))
     else:
         labels = tuple(subset)
         unknown = set(labels) - set(gm.graph.edges)
@@ -340,7 +339,9 @@ def is_efficient_up_to(gm: GraphMap, bound: int) -> EfficiencyReport:
 
     The edges of one call walk into the same few states, so the call keeps
     one successor table that all its edges share; each edge still keeps its
-    own seen set and level count.  The table lives only as long as the call.
+    own states in level order.  The table lives only as long as the call.
+    A step reports the least back-track pair, so its result depends only on
+    the state and the shared table is exact for witnesses too.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -361,107 +362,73 @@ def is_efficient_up_to(gm: GraphMap, bound: int) -> EfficiencyReport:
             first_of[x], last_of[x] = w[0], w[-1]
 
     def advance(state):
-        """(L_{m+1}, A_{m+1}) and the first back track listed in A_{m+1}."""
+        """(L_{m+1}, A_{m+1}) and the least back track in A_{m+1}."""
         L, A = state
         newL = frozenset().union(*(letters_of[x] for x in L))
         junction = {(last_of[x], first_of[y]) for (x, y) in A}
         newA = frozenset().union(*(within_of[x] for x in L), junction)
-        return (newL, newA), next((p for p in newA if p[0] == -p[1]), None)
+        return (newL, newA), min((p for p in newA if p[0] == -p[1]), default=None)
 
     successor: dict[tuple, tuple] = {}
     stabilized_all = True
     for e_id in sorted(images):
         state = (frozenset((e_id,)), frozenset())
-        seen = {state}
-        stabilized = False
+        seen = {state: None}  # insertion-ordered: the states of levels 0..m-1
         for m in range(1, bound + 1):
             step = successor.get(state)
             if step is None:
                 step = successor[state] = advance(state)
             state, bad = step
             if bad is not None:
-                # A back track ends the call, so this step was computed just
-                # now, but maybe from another edge's copy of these sets, which
-                # can list its pairs in another order.  Replay this edge alone
-                # so the witness is the pair its own sets list first.
-                state = (frozenset((e_id,)), frozenset())
-                for _ in range(m):
-                    state, bad = advance(state)
-                position = _witness_position(images, e_id, m, bad)
+                position = _witness_position(images, e_id, bad, list(seen), first_of, last_of)
                 return EfficiencyReport(False, bound, (m, order[e_id - 1], position), False)
             if state in seen:
-                stabilized = True
                 break
-            seen.add(state)
-        stabilized_all = stabilized_all and stabilized
+            seen[state] = None
+        else:
+            stabilized_all = False
     return EfficiencyReport(True, bound, None, stabilized_all)
 
 
 def _witness_position(
-    images: dict[int, tuple[int, ...]], e_id: int, m_fail: int, bad: tuple[int, int]
+    images: dict[int, tuple[int, ...]],
+    e_id: int,
+    bad: tuple[int, int],
+    states: list[tuple[frozenset, frozenset]],
+    first_of: dict[int, int],
+    last_of: dict[int, int],
 ) -> int:
-    """Exact offset of the back track inside g^m(e) without expanding it.
+    """Exact offset of the back track ``bad`` inside g^m(e), m = len(states),
+    without expanding it.
 
-    Re-runs the propagation recording one parent per letter and per pair,
-    walks the parents back to level 0, and converts the offset chain into a
-    position using the length table len_k(x) = |g^k(x)|.
+    ``states`` are the scan's (L_k, A_k) for k = 0..m-1.  Walking down from
+    level m, the traced run (the back-track pair, later one letter) goes to
+    its least parent one level below: the least letter whose image holds the
+    run, otherwise the least junction pair that makes it.  Each step adds
+    |g^r(t)| for the letters t before the run in that image, r being the
+    levels walked so far.
     """
-    letter_parent: dict[tuple[int, int], tuple[int, int]] = {}
-    pair_parent: dict[tuple[int, tuple[int, int]], tuple] = {}
-    L: set[int] = {e_id}
-    A: set[tuple[int, int]] = set()
-    for m in range(1, m_fail + 1):
-        newL: set[int] = set()
-        newA: set[tuple[int, int]] = set()
-        for x in L:
-            w = _image_of(images, x)
-            for i, y in enumerate(w):
-                if y not in newL:
-                    newL.add(y)
-                    letter_parent[(m, y)] = (x, i)
-                if i and (w[i - 1], y) not in newA:
-                    newA.add((w[i - 1], y))
-                    pair_parent[(m, (w[i - 1], y))] = ("within", x, i - 1)
-        for x, y in A:
-            p = (_image_of(images, x)[-1], _image_of(images, y)[0])
-            if p not in newA:
-                newA.add(p)
-                pair_parent[(m, p)] = ("junction", (x, y))
-        L, A = newL, newA
-    if bad not in A:
-        raise AssertionError(f"back track {bad} not reproduced at level {m_fail}")
-
-    def letter_path(x: int, level: int) -> list[tuple[int, int]]:
-        if level == 0:
-            if x != e_id:
-                raise AssertionError(f"witness path ends at {x}, not at edge {e_id}")
-            return []
-        parent, offset = letter_parent[(level, x)]
-        return letter_path(parent, level - 1) + [(parent, offset)]
-
-    def pair_path(p: tuple[int, int], level: int) -> list[tuple[int, int]]:
-        kind = pair_parent[(level, p)]
-        if kind[0] == "within":
-            _, x, i = kind
-            return letter_path(x, level - 1) + [(x, i)]
-        _, prev = kind
-        x = prev[0]
-        return pair_path(prev, level - 1) + [(x, len(_image_of(images, x)) - 1)]
-
-    path = pair_path(bad, m_fail)  # offsets into successive expansions
-
-    lengths: list[dict[int, int]] = [{x: 1 for x in images}]
-    for _ in range(m_fail):
-        prev = lengths[-1]
-        lengths.append(
-            {x: sum(prev[abs(t)] for t in images[x]) for x in images}
-        )
-
     position = 0
-    for t, (parent, offset) in enumerate(path, start=1):
-        w = _image_of(images, parent)
-        remaining = m_fail - t
-        position += sum(lengths[remaining][abs(w[s])] for s in range(offset))
+    length = dict.fromkeys(images, 1)  # |g^r(x)| for x > 0
+    run = bad  # the back track, then the one letter of g^k(e) holding it
+    for L, A in reversed(states):
+        for x in sorted(L):
+            w = _image_of(images, x)
+            offset = next((i for i in range(len(w)) if w[i:i + len(run)] == run), None)
+            if offset is not None:
+                run = (x,)
+                break
+        else:
+            prev = min((q for q in A if (last_of[q[0]], first_of[q[1]]) == run), default=None)
+            if prev is None:
+                raise AssertionError(f"no parent found for {run} in the states of edge {e_id}")
+            run = prev
+            w = _image_of(images, run[0])
+            offset = len(w) - 1
+        position += sum(length[abs(t)] for t in w[:offset])
+        length = {y: sum(length[abs(t)] for t in images[y]) for y in images}
+    if run != (e_id,):
+        raise AssertionError(f"witness path ends at {run}, not at edge {e_id}")
     return position
 
 

@@ -195,6 +195,14 @@ class TestFamilies:
             assert b.is_positive
             assert closure_stats(b).components == 1
 
+    def test_kn_plus_is_beta_made_positive(self):
+        for n in range(2, 9):
+            tail = list(range(1, n)) + list(range(n, 0, -1)) + list(range(1, n + 1))
+            want = BraidWord(2 * n, power(x_braid(n), 3).letters + tuple(tail))
+            assert kn_plus_braid(n) == want
+        with pytest.raises(BraidError, match="kn_plus"):
+            kn_plus_braid(1)
+
     def test_cable_positive_knot(self):
         for k in range(1, 6):
             b = cable_braid(k)

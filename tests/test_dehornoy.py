@@ -1,7 +1,16 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from knotcert.braid import BraidWord, beta_braid, compose, half_twist, inverse, power, x_braid
+from knotcert.braid import (
+    BraidWord,
+    beta_braid,
+    beta_conjugated_braid,
+    compose,
+    half_twist,
+    inverse,
+    power,
+    x_braid,
+)
 from knotcert.dehornoy import (
     _find_closing_handle,
     _reduce_core,
@@ -162,6 +171,11 @@ class TestFloorCertificates:
     def test_small_n_rejected(self):
         with pytest.raises(BraidError):
             floor_exceeds_one(1)
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_conjugated_family_is_the_spelled_out_word(self, n):
+        x = x_braid(n)
+        assert beta_conjugated_braid(n) == compose(compose(x, beta_braid(n)), inverse(x))
 
     def test_step_counts_are_stable(self):
         steps = [floor_exceeds_one(n).steps for n in range(2, 9)]

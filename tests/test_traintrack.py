@@ -58,7 +58,8 @@ def has_backtrack(word):
 
 def reference_efficiency(gm, bound):
     """The efficiency scan as first written, kept as the reference: every
-    edge propagates its own letter and pair sets, sharing nothing."""
+    edge propagates its own letter and pair sets, sharing nothing.  It reports
+    the least back-track pair, traced through its own level states."""
     assert validate(gm).ok
     _, order, images = _signed_images(gm)
     letters_of, within_of, first_of, last_of = {}, {}, {}, {}
@@ -71,21 +72,21 @@ def reference_efficiency(gm, bound):
     stabilized_all = True
     for e_id in sorted(images):
         L, A = frozenset((e_id,)), frozenset()
-        seen = {(L, A)}
+        seen = {(L, A): None}
         stabilized = False
         for m in range(1, bound + 1):
             newL = frozenset().union(*(letters_of[x] for x in L))
             junction = {(last_of[x], first_of[y]) for (x, y) in A}
             newA = frozenset().union(*(within_of[x] for x in L), junction)
-            bad = next((p for p in newA if p[0] == -p[1]), None)
+            bad = min((p for p in newA if p[0] == -p[1]), default=None)
             if bad is not None:
-                position = _witness_position(images, e_id, m, bad)
+                position = _witness_position(images, e_id, bad, list(seen), first_of, last_of)
                 return EfficiencyReport(False, bound, (m, order[e_id - 1], position), False)
             L, A = newL, newA
             if (L, A) in seen:
                 stabilized = True
                 break
-            seen.add((L, A))
+            seen[(L, A)] = None
         stabilized_all = stabilized_all and stabilized
     return EfficiencyReport(True, bound, None, stabilized_all)
 
@@ -224,6 +225,13 @@ class TestEfficiency:
         word = expand(gm, ("f",), 2)
         assert word[1] == "x" and word[2] == "-x"
 
+    def test_two_backtracks_at_one_level_report_the_least(self):
+        # g(f) = (a, -a, b, -b) reverses at 0 and at 2; the least pair wins.
+        gm = bouquet({"a": ("a",), "b": ("b",), "f": ("a", "-a", "b", "-b")})
+        rep = is_efficient_up_to(gm, 6)
+        assert not rep.efficient
+        assert rep.witness == (1, "f", 0)
+
     def test_efficient_map_stabilizes(self):
         gm = bouquet({"a": ("a", "b"), "b": ("a",)})
         rep = is_efficient_up_to(gm, 10)
@@ -270,6 +278,22 @@ class TestSharedStates:
                 assert rep == reference_efficiency(gm, bound)
                 backtracks += not rep.efficient
         assert backtracks  # the witness path ran, not only the efficient one
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_bouquet_witnesses_are_backtracks(self, seed):
+        rng = random.Random(seed)
+        witnesses = 0
+        for _ in range(40):
+            gm = random_bouquet(rng)
+            for bound in range(1, 7):
+                rep = is_efficient_up_to(gm, bound)
+                if rep.witness is None:
+                    continue
+                m, edge, pos = rep.witness
+                word = expand(gm, (edge,), m)
+                assert word[pos] == "-" + word[pos + 1] or word[pos + 1] == "-" + word[pos]
+                witnesses += 1
+        assert witnesses
 
     @pytest.mark.parametrize("n", range(3, 11))
     def test_family_maps_match_reference(self, n):
