@@ -58,6 +58,7 @@ from .positivity import (
     verify_topterm,
 )
 from .traintrack import (
+    expands,
     is_efficient_up_to,
     is_irreducible,
     kn_map,
@@ -300,19 +301,19 @@ def _certify_family_map(o, n):
     gm = kn_map(n)
     diag = validate(gm)
     M = transition(gm)
-    irreducible = is_irreducible(M)
-    lam = pf_eigenvalue(M, o.pf_tolerance)
+    if not is_irreducible(M):
+        return False, {"irreducible": False, "lambda": None}
     bound = o.backtrack_bound if o.backtrack_bound else 2 * (2 * n + 2)
     eff = is_efficient_up_to(gm, bound)
     en = f"e{n}"
     covers = {t.lstrip("-") for t in gm.edge_image[en]} >= set(diag.real)
     reach = [steps_to_reach(gm, e, en, 2 * n + 2) for e in diag.real]
     reach_ok = all(r is not None for r in reach)
-    ok = diag.ok and irreducible and lam > 1 + 1e-6 and eff.efficient and covers and reach_ok
+    ok = diag.ok and expands(M) and eff.efficient and covers and reach_ok
     return ok, {
         "real_edges": len(diag.real),
-        "irreducible": irreducible,
-        "lambda": round(lam, 9),
+        "irreducible": True,
+        "lambda": float(round(pf_eigenvalue(M, o.pf_tolerance), 9)),
         "efficient": eff.efficient,
         "efficiency_bound": bound,
         "stabilized": eff.stabilized,
@@ -343,8 +344,8 @@ def _traintrack(o, ns, path=None) -> list[Claim]:
     def m_thunk():
         M = transition(load())
         irr = is_irreducible(M)
-        lam = pf_eigenvalue(M, o.pf_tolerance)
-        return irr, {"labels": list(M.labels), "irreducible": irr, "lambda": round(lam, 9)}
+        lam = float(round(pf_eigenvalue(M, o.pf_tolerance), 9)) if irr else None
+        return irr and expands(M), {"labels": list(M.labels), "irreducible": irr, "lambda": lam}
 
     def e_thunk():
         gm = load()
@@ -356,7 +357,7 @@ def _traintrack(o, ns, path=None) -> list[Claim]:
     name = Path(path).name
     return [
         Claim(f"usermap-validate-{name}", f"{name}: structural validation", v_thunk),
-        Claim(f"usermap-transition-{name}", f"{name}: irreducibility and dilatation", m_thunk),
+        Claim(f"usermap-transition-{name}", f"{name}: irreducible with dilatation > 1", m_thunk),
         Claim(f"usermap-efficiency-{name}", f"{name}: no back track within bound", e_thunk),
     ]
 
@@ -575,9 +576,19 @@ def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
+def _positive_fraction(text: str) -> Fraction:
+    try:
+        if (value := Fraction(text)) > 0:
+            return value
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive rational, got {text!r}")
+
+
 def _add_verify_flags(p: argparse.ArgumentParser) -> None:
     _add_budget_flags(p)
-    p.add_argument("--pf-tolerance", type=float, default=1e-9, help="eigenvalue tolerance")
+    p.add_argument("--pf-tolerance", type=_positive_fraction, default=Fraction(1, 10**9),
+                   help="width of the exact eigenvalue enclosure, e.g. 1e-9 or 1/10000")
     p.add_argument(
         "--backtrack-bound",
         type=int,

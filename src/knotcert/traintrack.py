@@ -1,6 +1,8 @@
 """Graph maps in the Bestvina-Handel style and their certificates: walk
 validation, transition matrices, irreducibility, Perron-Frobenius eigenvalue,
 and bounded efficiency (absence of back tracks in iterated edge images).
+All arithmetic is exact: `expands` reads "dilatation > 1" off the row sums,
+and `pf_eigenvalue` brackets the dilatation by rationals.
 
 A graph map carries an embedded graph with a distinguished set of peripheral
 circles, a vertex image, and for each edge an image walk written as signed
@@ -19,9 +21,12 @@ again without expansion.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
+from numbers import Real
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
 __all__ = [
     "EmbeddedGraph",
@@ -33,6 +38,7 @@ __all__ = [
     "transition",
     "is_irreducible",
     "pf_eigenvalue",
+    "expands",
     "is_efficient_up_to",
     "steps_to_reach",
     "kn_map",
@@ -69,10 +75,7 @@ class EmbeddedGraph:
         object.__setattr__(self, "peripheral", frozenset(self.peripheral))
 
     def valence(self, v: str) -> int:
-        total = 0
-        for tail, head in self.edges.values():
-            total += (tail == v) + (head == v)
-        return total
+        return sum((tail == v) + (head == v) for tail, head in self.edges.values())
 
 
 @dataclass(frozen=True)
@@ -107,9 +110,8 @@ class TransitionMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if any(len(r) != len(self.labels) for r in self.rows) or len(self.rows) != len(
-            self.labels
-        ):
+        n = len(self.labels)
+        if len(self.rows) != n or any(len(r) != n for r in self.rows):
             raise ValueError("transition matrix must be square over its labels")
 
 
@@ -150,11 +152,7 @@ def validate(gm: GraphMap) -> MapDiagnostics:
         issues.append(f"peripheral ids missing from edge set: {sorted(unknown)}")
 
     # peripheral subgraph must be 2-regular, hence a disjoint union of cycles
-    peripheral_valence: dict[str, int] = {}
-    for p in g.peripheral & set(g.edges):
-        tail, head = g.edges[p]
-        peripheral_valence[tail] = peripheral_valence.get(tail, 0) + 1
-        peripheral_valence[head] = peripheral_valence.get(head, 0) + 1
+    peripheral_valence = Counter(v for p in g.peripheral & set(g.edges) for v in g.edges[p])
     for v, k in sorted(peripheral_valence.items()):
         if k != 2:
             issues.append(f"peripheral edges do not form disjoint cycles at {v}")
@@ -178,21 +176,18 @@ def validate(gm: GraphMap) -> MapDiagnostics:
             issues.append(f"edge {e} image uses unknown tokens {bad}")
             continue
         pos = _token_endpoints(g, walk[0])[0]
-        broken = False
         for token in walk:
             start, end = _token_endpoints(g, token)
             if start != pos:
                 issues.append(f"edge {e} image walk breaks at token {token}")
-                broken = True
                 break
             pos = end
-        if broken:
-            continue
-        tail, head = g.edges[e]
-        want = (gm.vertex_image.get(tail), gm.vertex_image.get(head))
-        got = (_token_endpoints(g, walk[0])[0], pos)
-        if want != got:
-            issues.append(f"edge {e} image runs {got}, expected {want}")
+        else:
+            tail, head = g.edges[e]
+            want = (gm.vertex_image.get(tail), gm.vertex_image.get(head))
+            got = (_token_endpoints(g, walk[0])[0], pos)
+            if want != got:
+                issues.append(f"edge {e} image runs {got}, expected {want}")
 
     # set-wise preservation of the circles, and surjectivity onto them
     hit: set[str] = set()
@@ -222,19 +217,12 @@ def validate(gm: GraphMap) -> MapDiagnostics:
     return MapDiagnostics(ok=not issues, issues=tuple(issues), pre_peripheral=pre, real=real)
 
 
-def transition(gm: GraphMap, subset: str | Sequence[str] = "real") -> TransitionMatrix:
-    """Multiplicity matrix over the selected edges ("real" or an explicit
-    label sequence).  The map must pass validation."""
+def transition(gm: GraphMap) -> TransitionMatrix:
+    """Multiplicity matrix over the real edges.  The map must pass validation."""
     diag = validate(gm)
     if not diag.ok:
         raise ValueError("map failed validation: " + "; ".join(diag.issues))
-    if subset == "real":
-        labels = diag.real
-    else:
-        labels = tuple(subset)
-        unknown = set(labels) - set(gm.graph.edges)
-        if unknown:
-            raise ValueError(f"unknown edges in subset: {sorted(unknown)}")
+    labels = diag.real
     index = {label: i for i, label in enumerate(labels)}
     rows = [[0] * len(labels) for _ in labels]
     for j, label in enumerate(labels):
@@ -251,55 +239,64 @@ def is_irreducible(M: TransitionMatrix) -> bool:
     n = len(M.labels)
     if n == 0:
         raise ValueError("empty matrix")
-    forward: list[list[int]] = [[] for _ in range(n)]
-    backward: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if M.rows[i][j]:
-                forward[j].append(i)
-                backward[i].append(j)
 
-    def reach(adj: list[list[int]]) -> set[int]:
-        seen = {0}
-        stack = [0]
+    def reaches_all(adjacency) -> bool:
+        seen, stack = {0}, [0]
         while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return seen
+            row = adjacency[stack.pop()]
+            new = [j for j in range(n) if row[j] and j not in seen]
+            seen.update(new)
+            stack += new
+        return len(seen) == n
 
-    full = set(range(n))
-    return reach(forward) == full and reach(backward) == full
+    return reaches_all(M.rows) and reaches_all(tuple(zip(*M.rows)))
 
 
 _PF_MAX_ITERATIONS = 500_000
 
 
-def pf_eigenvalue(M: TransitionMatrix, tolerance: float = 1e-9) -> float:
-    """Perron-Frobenius eigenvalue by power iteration on M + I (the shift
-    makes an irreducible matrix primitive, so the iteration cannot oscillate
-    between period classes).
+def pf_eigenvalue(M: TransitionMatrix, tolerance: Real = Fraction(1, 10**9)) -> Fraction:
+    """Perron-Frobenius eigenvalue of an irreducible M, within tolerance/2:
+    the midpoint of the exact Collatz-Wielandt enclosure
+    min_i (Mx)_i / x_i <= lambda(M) <= max_i (Mx)_i / x_i, true for every
+    positive x, once it is narrower than tolerance (read exactly).
 
-    Each iterate gives the Collatz-Wielandt enclosure
-    min_i (Ay)_i / y_i <= lambda(A) <= max_i (Ay)_i / y_i for y > 0, so the
-    returned value is within tolerance/2 of the true eigenvalue."""
+    x runs through the power iterates of M + I on ints (the shift makes M
+    primitive, so the enclosure narrows), cut until the least entry has 64
+    bits, or 32 more than tolerance needs, however spread the eigenvector
+    is.  A reducible M raises ValueError."""
+    tolerance = Fraction(tolerance)
     if tolerance <= 0:
         raise ValueError("tolerance must be positive")
-    n = len(M.labels)
-    if n == 0:
-        raise ValueError("empty matrix")
-    shifted = [[float(M.rows[i][j]) + (i == j) for j in range(n)] for i in range(n)]
-    x = [1.0] * n
+    if not is_irreducible(M):
+        raise ValueError("matrix is reducible")
+    bits = max(64, tolerance.denominator.bit_length() - tolerance.numerator.bit_length() + 32)
+    x = [1] * len(M.rows)
     for _ in range(_PF_MAX_ITERATIONS):
-        y = [sum(shifted[i][j] * x[j] for j in range(n)) for i in range(n)]
-        ratios = [yi / xi for yi, xi in zip(y, x)]
-        low, high = min(ratios), max(ratios)
+        y = [sum(a * b for a, b in zip(row, x)) for row in M.rows]
+        lo = hi = 0
+        for i in range(1, len(x)):
+            if y[i] * x[lo] < y[lo] * x[i]:
+                lo = i
+            elif y[i] * x[hi] > y[hi] * x[i]:
+                hi = i
+        low, high = Fraction(y[lo], x[lo]), Fraction(y[hi], x[hi])
         if high - low < tolerance:
-            return (low + high) / 2 - 1.0
-        top = max(y)
-        x = [v / top for v in y]
+            return (low + high) / 2
+        y = [a + b for a, b in zip(x, y)]
+        shift = max(0, min(y).bit_length() - bits)
+        x = [v >> shift for v in y]
     raise RuntimeError(f"power iteration did not converge in {_PF_MAX_ITERATIONS} steps")
+
+
+def expands(M: TransitionMatrix) -> bool:
+    """Whether the irreducible M has Perron-Frobenius eigenvalue above 1: it
+    lies between the least and greatest row sums, and it is 1 exactly when M
+    is a permutation matrix (Lind-Marcus, 1995), so exactly when no row sum
+    exceeds 1.  A reducible M raises ValueError."""
+    if not is_irreducible(M):
+        raise ValueError("matrix is reducible")
+    return any(sum(row) > 1 for row in M.rows)
 
 
 def _signed_images(gm: GraphMap) -> tuple[dict[str, int], list[str], dict[int, tuple[int, ...]]]:
@@ -350,10 +347,7 @@ def is_efficient_up_to(gm: GraphMap, bound: int) -> EfficiencyReport:
         raise ValueError("map failed validation: " + "; ".join(diag.issues))
     _, order, images = _signed_images(gm)
 
-    letters_of = {}
-    within_of = {}
-    first_of = {}
-    last_of = {}
+    letters_of, within_of, first_of, last_of = {}, {}, {}, {}
     for label_id in images:
         for x in (label_id, -label_id):
             w = _image_of(images, x)
@@ -390,14 +384,9 @@ def is_efficient_up_to(gm: GraphMap, bound: int) -> EfficiencyReport:
     return EfficiencyReport(True, bound, None, stabilized_all)
 
 
-def _witness_position(
-    images: dict[int, tuple[int, ...]],
-    e_id: int,
-    bad: tuple[int, int],
-    states: list[tuple[frozenset, frozenset]],
-    first_of: dict[int, int],
-    last_of: dict[int, int],
-) -> int:
+def _witness_position(images: dict[int, tuple[int, ...]], e_id: int, bad: tuple[int, int],
+                      states: list[tuple[frozenset, frozenset]], first_of: dict[int, int],
+                      last_of: dict[int, int]) -> int:
     """Exact offset of the back track ``bad`` inside g^m(e), m = len(states),
     without expanding it.
 

@@ -81,6 +81,13 @@ class TestVerify:
             ["family", "kn", "--n", "2", "--handle-budget", "5"],
             ["verify", "topterm", "--max-letters", "10"],
             ["verify", "all", "--max-letters", "10"],
+            # --pf-tolerance must parse as a positive rational
+            ["verify", "traintrack", "--pf-tolerance", "0"],
+            ["verify", "traintrack", "--pf-tolerance=-1e-9"],
+            ["verify", "all", "--pf-tolerance", "abc"],
+            ["verify", "all", "--pf-tolerance", "1/0"],
+            ["verify", "all", "--pf-tolerance", "nan"],
+            ["verify", "all", "--pf-tolerance", "inf"],
         ],
     )
     def test_removed_flags_rejected(self, argv):
@@ -216,6 +223,46 @@ class TestTraintrackMaps:
         code, out, _ = run(capsys, "verify", "traintrack", "--map", str(path))
         assert code == 1
         assert "[   fail]" in out
+
+    def test_reducible_map_fails_with_its_verdict(self, tmp_path, capsys):
+        # a -> a, b -> b, f -> a -a b -b: nothing maps over f
+        data = {"vertices": ["v"], "edges": {e: ["v", "v"] for e in "abf"},
+                "edge_image": {"a": ["a"], "b": ["b"], "f": ["a", "-a", "b", "-b"]}}
+        path = tmp_path / "reducible.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", "traintrack", "--map", str(path), "--json")
+        assert code == 1
+        entries = {e["claim"]: e for e in json.loads(out)["entries"]}
+        entry = entries["usermap-transition-reducible.json"]
+        assert entry["status"] == "fail"
+        assert entry["computed"] == {"labels": ["a", "b", "f"], "irreducible": False,
+                                     "lambda": None}
+
+    def test_periodic_map_fails(self, tmp_path, capsys):
+        # a -> b -> c -> a permutes the edges: irreducible, but dilatation 1
+        data = {"vertices": ["v"], "edges": {e: ["v", "v"] for e in "abc"},
+                "edge_image": {"a": ["b"], "b": ["c"], "c": ["a"]}}
+        path = tmp_path / "periodic.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "verify", "traintrack", "--map", str(path), "--json")
+        assert code == 1
+        entries = {e["claim"]: e for e in json.loads(out)["entries"]}
+        entry = entries["usermap-transition-periodic.json"]
+        assert entry["status"] == "fail"
+        assert entry["computed"]["irreducible"] is True and entry["computed"]["lambda"] == 1.0
+
+    def test_exact_tolerance_flag(self, tmp_path, capsys):
+        from knotcert.traintrack import kn_map, map_to_json
+
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(map_to_json(kn_map(3))))
+        argv = ("verify", "traintrack", "--map", str(path), "--json", "--pf-tolerance")
+        code, out, _ = run(capsys, *argv, "1/1000000000000")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["pf_tolerance"] == "1/1000000000000"
+        entries = {e["claim"]: e for e in doc["entries"]}
+        assert entries["usermap-transition-map.json"]["computed"]["lambda"] == 5.445978883
 
     def test_missing_file_fails(self, capsys):
         code, _, err = run(capsys, "verify", "traintrack", "--map", "/nonexistent.json")

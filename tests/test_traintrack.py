@@ -1,7 +1,9 @@
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from knotcert.traintrack import (
     EfficiencyReport,
@@ -11,6 +13,7 @@ from knotcert.traintrack import (
     _witness_position,
     GraphMap,
     TransitionMatrix,
+    expands,
     is_efficient_up_to,
     is_irreducible,
     kn_map,
@@ -31,6 +34,14 @@ def bouquet(edge_image):
         peripheral=frozenset(),
     )
     return GraphMap(graph=graph, vertex_image={"v": "v"}, edge_image=edge_image)
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices of size 2-6 with entries 0-3."""
+    n = draw(st.integers(2, 6))
+    row = st.tuples(*[st.integers(0, 3)] * n)
+    return TransitionMatrix(tuple(f"e{i}" for i in range(n)), draw(st.tuples(*[row] * n)))
 
 
 def expand(gm, word, depth):
@@ -151,7 +162,8 @@ class TestValidation:
 class TestTransition:
     def test_multiplicities(self):
         gm = bouquet({"a": ("a", "b", "-a"), "b": ("a",)})
-        M = transition(gm, subset=("a", "b"))
+        M = transition(gm)
+        assert M.labels == ("a", "b")
         assert M.rows == ((2, 1), (1, 0))
 
     def test_invalid_map_rejected(self):
@@ -161,11 +173,7 @@ class TestTransition:
             edge_image={"a": ("a",)},
         )
         with pytest.raises(ValueError):
-            transition(gm, subset="real")
-
-    def test_unknown_subset_label(self):
-        with pytest.raises(ValueError):
-            transition(kn_map(3), subset=("e1", "zz"))
+            transition(gm)
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
@@ -190,6 +198,68 @@ class TestSpectral:
     def test_reducible(self):
         M = TransitionMatrix(("a", "b"), ((1, 1), (0, 1)))
         assert not is_irreducible(M)
+
+    @pytest.mark.parametrize("tolerance", [Fraction(1, 10**9), Fraction(1, 10**40)])
+    def test_fibonacci_exact(self, tolerance):
+        # the golden ratio is the positive root of p(x) = x^2 - x - 1
+        M = TransitionMatrix(("a", "b"), ((1, 1), (1, 0)))
+        mid = pf_eigenvalue(M, tolerance)
+        t = tolerance / 2
+        p = lambda x: x * x - x - 1  # noqa: E731
+        assert isinstance(mid, Fraction)
+        assert p(mid - t) < 0 < p(mid + t)
+
+    def test_reducible_raises(self):
+        # the bouquet a -> a, b -> b, f -> a -a b -b: f feeds a and b, nothing feeds f
+        M = TransitionMatrix(("a", "b", "f"), ((1, 0, 2), (0, 1, 2), (0, 0, 0)))
+        assert not is_irreducible(M)
+        with pytest.raises(ValueError):
+            pf_eigenvalue(M)
+        with pytest.raises(ValueError):
+            expands(M)
+
+    @pytest.mark.parametrize("rows, grows", [
+        (((0,),), False), (((1,),), False), (((2,),), True),
+        (((0, 1), (1, 0)), False), (((1, 1), (1, 0)), True), (((0, 2), (1, 0)), True),
+    ])
+    def test_expands(self, rows, grows):
+        assert expands(TransitionMatrix(tuple("abcdef"[:len(rows)]), rows)) is grows
+
+    @pytest.mark.parametrize("tolerance", [0, -1, Fraction(-1, 3)])
+    def test_tolerance_must_be_positive(self, tolerance):
+        with pytest.raises(ValueError):
+            pf_eigenvalue(TransitionMatrix(("a",), ((2,),)), tolerance)
+
+    def test_spread_eigenvector_converges(self):
+        # a 24-cycle with one self-loop 3: eigenvector entries span a factor
+        # of about 3^23, which a cut to the largest entry's 64 bits cannot resolve
+        n = 24
+        rows = tuple(tuple(int(j == (i + 1) % n) + 3 * (i == j == 0) for j in range(n))
+                     for i in range(n))
+        M = TransitionMatrix(tuple(f"e{i}" for i in range(n)), rows)
+        mid = pf_eigenvalue(M, Fraction(1, 10**12))
+        assert expands(M)
+        # lambda is the root above 3 of x^24 - 3 x^23 - 1
+        t = Fraction(1, 10**12) / 2
+        p = lambda x: x**24 - 3 * x**23 - 1  # noqa: E731
+        assert p(mid - t) < 0 < p(mid + t)
+
+    @given(square_matrices().filter(is_irreducible))
+    @example(TransitionMatrix(("a", "b", "c"), ((0, 1, 0), (0, 0, 1), (1, 0, 0))))
+    @example(TransitionMatrix(("a",), ((0,),)))
+    @example(TransitionMatrix(("a",), ((1,),)))
+    def test_enclosure_properties(self, M):
+        tolerance = Fraction(1, 10**9)
+        t = tolerance / 2
+        mid = pf_eigenvalue(M, tolerance)
+        sums = [sum(r) for r in M.rows]
+        assert min(sums) <= mid <= max(sums)
+        T = TransitionMatrix(M.labels, tuple(zip(*M.rows)))
+        assert abs(mid - pf_eigenvalue(T, tolerance)) < tolerance
+        if expands(M):
+            assert mid - t > 1  # the whole enclosure lies above 1
+        else:
+            assert abs(mid - 1) < t or M.rows == ((0,),)
 
     def test_transpose_same_radius(self):
         M = transition(kn_map(4))
