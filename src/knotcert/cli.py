@@ -585,19 +585,23 @@ def _positive_fraction(text: str) -> Fraction:
     raise argparse.ArgumentTypeError(f"expected a positive rational, got {text!r}")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        if (value := int(text)) > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def _add_verify_flags(p: argparse.ArgumentParser) -> None:
     _add_budget_flags(p)
     p.add_argument("--pf-tolerance", type=_positive_fraction, default=Fraction(1, 10**9),
                    help="width of the exact eigenvalue enclosure, e.g. 1e-9 or 1/10000")
-    p.add_argument(
-        "--backtrack-bound",
-        type=int,
-        default=None,
-        help="efficiency iteration bound (default 2 * edge count)",
-    )
-    p.add_argument(
-        "--handle-budget", type=int, default=DEFAULT_STEP_BUDGET, help="handle reduction cap"
-    )
+    p.add_argument("--backtrack-bound", type=_positive_int, default=None,
+                   help="efficiency iteration bound (default 2 * edge count)")
+    p.add_argument("--handle-budget", type=_positive_int, default=DEFAULT_STEP_BUDGET,
+                   help="handle reduction cap")
 
 
 def _build_parser() -> argparse.ArgumentParser:

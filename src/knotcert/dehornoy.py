@@ -9,11 +9,15 @@ theorem: reducing permitted handles (interior sigma_{i+1} letters all of one
 sign) terminates in a handle-free word, whose lowest-index generator then
 occurs with a single sign.  That sign orders the braid group.
 
-Strategy here: always reduce the handle that closes leftmost, found by
-scanning for the first position that terminates a handle.  Such a handle is
+Strategy here: always reduce the handle that closes leftmost.  It is
 automatically permitted: a mixed-sign sigma_{i+1} pair in its interior would
-itself close a handle strictly earlier.  The reduction count is budgeted only
-to surface pathological blowup; termination itself is Dehornoy's theorem.
+itself close a handle strictly earlier.  One forward scan keeps prev[j], the
+nearest position before j whose generator index is at most |w[j]| (-1 if
+none).  A handle closes at q exactly when that nearest position for q, found
+by jumping along prev, holds -w[q].  prev[j] depends only on w[:j+1], so after
+a handle w[p..q] is reduced in place prev[:p] still holds and the scan resumes
+at p.  The reduction count is budgeted only to surface pathological blowup;
+termination itself is Dehornoy's theorem.
 """
 
 from __future__ import annotations
@@ -58,26 +62,6 @@ class FloorCertificate:
     steps: int
 
 
-def _find_closing_handle(w: list[int], start: int) -> tuple[int, int] | None:
-    """Leftmost-closing handle at or after closing position ``start``.
-
-    Returns (p, q) with w[p..q] = sigma_i^e ... sigma_i^-e and interior
-    indices all exceeding i, scanning closing positions q left to right.
-    """
-    for q in range(max(start, 1), len(w)):
-        idx = abs(w[q])
-        p = q - 1
-        while p >= 0:
-            other = abs(w[p])
-            if other > idx:
-                p -= 1
-                continue
-            if other == idx and w[p] == -w[q]:
-                return p, q
-            break  # same index same sign, or a smaller index: nothing closes here
-    return None
-
-
 def _reduce_once(w: list[int], p: int, q: int) -> None:
     """Reduce the handle w[p..q] in place: the prefix before p is not copied."""
     i = abs(w[q])
@@ -97,20 +81,29 @@ def _reduce_core(letters: list[int], step_budget: int) -> tuple[list[int], int]:
         raise ValueError("step budget must be positive")
     w = list(letters)
     steps = 0
-    scan_from = 0
-    while True:
-        found = _find_closing_handle(w, scan_from)
-        if found is None:
-            return w, steps
+    # prev[j] for j < q: nearest position before j with index <= |w[j]|, or -1
+    prev: list[int] = []
+    q = 0
+    while q < len(w):
+        x = w[q]
+        idx = abs(x)
+        p = q - 1
+        while p >= 0 and abs(w[p]) > idx:
+            p = prev[p]
+        if p < 0 or w[p] != -x:
+            prev.append(p)
+            q += 1
+            continue
         if steps >= step_budget:
             raise BudgetExceededError(
                 f"handle reduction exceeded {step_budget} steps", spent=steps
             )
-        p, q = found
         _reduce_once(w, p, q)
         steps += 1
-        # the prefix before p is untouched, so no handle can close before p
-        scan_from = p
+        # the reduction rewrote w[p:] only, so prev[:p] still holds
+        del prev[p:]
+        q = p
+    return w, steps
 
 
 def handle_reduce(b: BraidWord, step_budget: int = DEFAULT_STEP_BUDGET) -> BraidWord:

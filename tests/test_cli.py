@@ -88,6 +88,13 @@ class TestVerify:
             ["verify", "all", "--pf-tolerance", "1/0"],
             ["verify", "all", "--pf-tolerance", "nan"],
             ["verify", "all", "--pf-tolerance", "inf"],
+            # the integer budgets must parse as positive integers
+            ["verify", "dehornoy", "--handle-budget", "0"],
+            ["verify", "dehornoy", "--handle-budget=-5"],
+            ["verify", "all", "--handle-budget", "1.5"],
+            ["verify", "traintrack", "--backtrack-bound=-1"],
+            ["verify", "traintrack", "--backtrack-bound", "0"],
+            ["verify", "all", "--backtrack-bound", "abc"],
         ],
     )
     def test_removed_flags_rejected(self, argv):

@@ -1,6 +1,9 @@
 """Every module imports only what it uses: an imported name must be
 referenced in the module or listed in its ``__all__``.  ``__init__.py`` is
-exempt, because its imports are the package's re-exports."""
+exempt, because its imports are the package's re-exports.
+
+No module holds an ``assert`` statement: ``python -O`` strips them, so a
+check written as one does not run there.  Checks raise instead."""
 
 import ast
 from pathlib import Path
@@ -9,7 +12,8 @@ import pytest
 
 import knotcert
 
-MODULES = sorted(p for p in Path(knotcert.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted(Path(knotcert.__file__).parent.glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -39,3 +43,18 @@ def test_guard_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def assert_lines(source: str) -> list[int]:
+    tree = ast.parse(source)
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert))
+
+
+def test_guard_sees_an_assert():
+    source = "def f(x):\n    if x:\n        assert x > 0, 'positive'\n    return x\n"
+    assert assert_lines(source) == [3]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    assert assert_lines(path.read_text()) == []
