@@ -394,6 +394,15 @@ class Suite:
     full: dict
 
 
+def _positive_int(text: str) -> int:
+    try:
+        if (value := int(text)) > 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def _int_arg(flag: str, default: int | None, **kw) -> tuple[str, dict]:
     return flag, {"type": int, "default": default, **kw}
 
@@ -404,7 +413,7 @@ def _int_arg(flag: str, default: int | None, **kw) -> tuple[str, dict]:
 # reuses).
 SUITES: dict[str, Suite] = {
     "topterm": Suite(
-        "top term of p0 for one beta braid", (_int_arg("--n", 2),),
+        "top term of p0 for one beta braid", (_int_arg("--n", 2, type=_positive_int),),
         lambda a: {"ns": [a.n]}, _topterm,
         desk={"ns": [2, 3]}, full={"ns": [2, 3, 4]},
     ),
@@ -420,12 +429,13 @@ SUITES: dict[str, Suite] = {
     ),
     "ito": Suite(
         "braid-positivity obstruction controls and one beta braid",
-        (_int_arg("--n", 2), _int_arg("--genus", None, help="required for odd --n")),
+        (_int_arg("--n", 2, type=_positive_int),
+         _int_arg("--genus", None, help="required for odd --n")),
         lambda a: {"ns": [a.n], "genus": a.genus}, _ito,
         desk={"ns": [2], "genus": None}, full={"ns": [2, 4], "genus": None},
     ),
     "genus": Suite(
-        "Alexander span against the genus formula", (_int_arg("--n", 2),),
+        "Alexander span against the genus formula", (_int_arg("--n", 2, type=_positive_int),),
         lambda a: {"ns": [a.n]}, _genus,
         desk={"ns": [2]}, full={"ns": [2, 4]},
     ),
@@ -571,8 +581,8 @@ def _cmd_cache(args) -> int:
 
 def _add_budget_flags(p: argparse.ArgumentParser) -> None:
     """Flags every command that computes reads; see _add_verify_flags for the rest."""
-    p.add_argument("--max-strands", type=int, default=8, help="Hecke engine strand cap")
-    p.add_argument("--node-budget", type=int, default=None, help="skein recursion node cap")
+    p.add_argument("--max-strands", type=_positive_int, default=8, help="Hecke engine strand cap")
+    p.add_argument("--node-budget", type=_positive_int, help="skein recursion node cap")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
 
@@ -585,21 +595,12 @@ def _positive_fraction(text: str) -> Fraction:
     raise argparse.ArgumentTypeError(f"expected a positive rational, got {text!r}")
 
 
-def _positive_int(text: str) -> int:
-    try:
-        if (value := int(text)) > 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-
-
 def _add_verify_flags(p: argparse.ArgumentParser) -> None:
     _add_budget_flags(p)
     p.add_argument("--pf-tolerance", type=_positive_fraction, default=Fraction(1, 10**9),
                    help="width of the exact eigenvalue enclosure, e.g. 1e-9 or 1/10000")
     p.add_argument("--backtrack-bound", type=_positive_int, default=None,
-                   help="efficiency iteration bound (default 2 * edge count)")
+                   help="efficiency iteration bound (default 2 * real edges; all edges for --map)")
     p.add_argument("--handle-budget", type=_positive_int, default=DEFAULT_STEP_BUDGET,
                    help="handle reduction cap")
 

@@ -41,7 +41,7 @@ from pathlib import Path
 
 from .braid import BraidWord, braid_text, closure_stats
 from .errors import BudgetExceededError
-from .poly import LaurentPoly1, LaurentPoly2, specialize
+from .poly import LaurentPoly1, LaurentPoly2, _add_into, _horner, _mul1, _pow1
 
 __all__ = [
     "CoefficientDecomposition",
@@ -55,34 +55,6 @@ __all__ = [
     "canonical_key",
     "PolynomialCache",
 ]
-
-
-# --------------------------------------------------------------------------
-# raw int-keyed Laurent dict arithmetic (hot paths avoid dataclass churn)
-
-
-def _add_into(dst: dict, src: dict, shift: int = 0, scale: int = 1) -> None:
-    for e, c in src.items():
-        k = e + shift
-        dst[k] = dst.get(k, 0) + c * scale
-        if not dst[k]:
-            del dst[k]
-
-
-def _mul1(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            k = e1 + e2
-            out[k] = out.get(k, 0) + c1 * c2
-    return {k: c for k, c in out.items() if c}
-
-
-def _pow1(base: dict, k: int) -> dict:
-    out = {0: 1}
-    for _ in range(k):
-        out = _mul1(out, base)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -187,13 +159,7 @@ def _check_unit_identity(P: LaurentPoly2, components: int) -> None:
         if j < 1 - components:
             raise ArithmeticError(f"HOMFLY term z^{j} below z^{1 - components}; engine fault")
         rows.setdefault(j + components - 1, {})[a] = c
-    total: dict = {}
-    power = {0: 1}
-    for j in range(max(rows, default=-1) + 1):
-        if j in rows:
-            _add_into(total, _mul1(rows[j], power))
-        power = _mul1(power, s)
-    if total != _pow1(s, components - 1):
+    if _horner(rows, s) != _pow1(s, components - 1):
         raise ArithmeticError("HOMFLY polynomial fails P(v, v^-1 - v) = 1; engine fault")
 
 
@@ -579,8 +545,14 @@ def p0(
 
 
 def _alexander_of(P: LaurentPoly2) -> LaurentPoly1:
-    """Alexander polynomial of a knot from its HOMFLY polynomial."""
-    a = specialize(specialize(P, "v_to_1"), "z2_to_t")
+    """Alexander polynomial of a knot from its HOMFLY polynomial: v -> 1 leaves
+    one integer per z^2 power, then z^2 -> t - 2 + t^-1 is one Horner pass."""
+    rows: dict[int, dict] = {}
+    for (_, ze), c in P.terms.items():
+        if ze < 0 or ze % 2:
+            raise ValueError(f"z-exponent {ze} is not even and nonnegative")
+        rows.setdefault(ze // 2, {0: 0})[0] += c
+    a = LaurentPoly1("t", _horner(rows, {-1: 1, 0: -2, 1: 1}))
     if any(a.coeff(-e) != c for e, c in a.terms.items()) or a.evaluate(1) != 1:
         raise AssertionError("Alexander normalization violated; engine bug")
     return a
@@ -636,9 +608,9 @@ class PolynomialCache:
                 continue
             try:
                 rec = json.loads(line)
-                if rec["version"] != self.VERSION:
-                    continue  # written by another format version: a miss
-                poly = LaurentPoly2.from_triples(tuple(rec["tags"]), rec["terms"])
+                if rec["version"] != self.VERSION or rec["tags"] != ["v", "z"]:
+                    continue  # another format version or foreign variables: a miss
+                poly = LaurentPoly2.from_triples(("v", "z"), rec["terms"])
                 self._memory[rec["word"]] = poly
             except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                 continue  # advisory cache: skip damage silently

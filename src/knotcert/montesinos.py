@@ -160,6 +160,8 @@ def ell_family(k: int) -> EllFamilyReport:
     parameter k: closed forms det(ell) = 12k^2 + 2k, det(ell_0) = 6k + 1,
     det(ell_inf^i) = 12k^2 + 2k - (6k+1) i, the additive recursion linking
     them, and agreement of both Montesinos endpoints with det_montesinos.
+    ``recursion_holds`` is an identity of the closed forms and cannot fail;
+    only ``endpoints_match`` checks against an independent computation.
     """
     if k < 1:
         raise ValueError("family parameter k must be >= 1")
@@ -184,7 +186,7 @@ def ell_family(k: int) -> EllFamilyReport:
 
 def surgery_slopes(k: int) -> SurgerySlopes:
     """Slope arithmetic at parameter k, with the consistency identity
-    8k^2 + (4k^2 + 2k) = 12k^2 + 2k = det(ell)."""
+    8k^2 + (4k^2 + 2k) = 12k^2 + 2k = det(ell), which holds by algebra and cannot fail."""
     if k < 1:
         raise ValueError("family parameter k must be >= 1")
     quotient = 4 * k * k + 2 * k

@@ -7,9 +7,9 @@ Two shapes cover every invariant in the toolkit:
 * ``LaurentPoly1``: one variable (tag ``v``, ``t``, ``alpha``, or ``z``).
 * ``LaurentPoly2``: two variables (tags ``(v, z)`` or ``(alpha, z)``).
 
-``specialize`` implements the substitutions the verification pipeline needs:
-v -> 1, z^2 -> t - 2 + 1/t (the Alexander specialization), and
-v^2 -> -alpha.
+The int-keyed dict kernels ``_add_into``, ``_mul1``, ``_pow1`` and
+``_horner`` serve the engines' hot paths and ``LaurentPoly1``'s product;
+each substitution a verdict needs is written where it is used.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-__all__ = ["LaurentPoly1", "LaurentPoly2", "specialize"]
+__all__ = ["LaurentPoly1", "LaurentPoly2"]
 
 
 def _clean(items: Iterable[tuple] | Mapping) -> dict:
@@ -32,6 +32,43 @@ def _clean(items: Iterable[tuple] | Mapping) -> dict:
             if not out[exp]:
                 del out[exp]
     return out
+
+
+# int-keyed Laurent dict arithmetic: the engines' hot paths avoid dataclass churn
+
+
+def _add_into(dst: dict, src: dict, shift: int = 0, scale: int = 1) -> None:
+    for e, c in src.items():
+        k = e + shift
+        dst[k] = dst.get(k, 0) + c * scale
+        if not dst[k]:
+            del dst[k]
+
+
+def _mul1(a: Mapping, b: Mapping) -> dict:
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            k = e1 + e2
+            out[k] = out.get(k, 0) + c1 * c2
+    return {k: c for k, c in out.items() if c}
+
+
+def _pow1(base: dict, k: int) -> dict:
+    out = {0: 1}
+    for _ in range(k):
+        out = _mul1(out, base)
+    return out
+
+
+def _horner(rows: dict[int, dict], s: dict) -> dict:
+    """sum_j rows[j] * s^j over rows keyed by j >= 0, by Horner's rule."""
+    total: dict = {}
+    for j in range(max(rows, default=-1), -1, -1):
+        total = _mul1(total, s)
+        if j in rows:
+            _add_into(total, rows[j])
+    return total
 
 
 class _Laurent:
@@ -50,10 +87,7 @@ class _Laurent:
 
     def __add__(self, other):
         self._check(other)
-        merged = dict(self.terms)
-        for e, c in other.terms.items():
-            merged[e] = merged.get(e, 0) + c
-        return self._new(merged)
+        return self._new([*self.terms.items(), *other.terms.items()])  # _clean sums
 
     def __sub__(self, other):
         return self + (-other)
@@ -116,12 +150,7 @@ class LaurentPoly1(_Laurent):
     # shape-dependent arithmetic ---------------------------------------
 
     def _times(self, other: Mapping[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return out
+        return _mul1(self.terms, other)
 
     def shift(self, exp: int, coeff: int = 1) -> "LaurentPoly1":
         """Multiply by the monomial coeff * var^exp."""
@@ -253,59 +282,3 @@ def _render(items, names, unpack) -> str:
         else:
             parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
     return " ".join(parts)
-
-
-def _v_to_1(p: LaurentPoly2) -> LaurentPoly1:
-    if not isinstance(p, LaurentPoly2):
-        raise ValueError("v -> 1 substitution applies to two-variable input")
-    out: dict[int, int] = {}
-    for (_, ze), c in p.terms.items():
-        out[ze] = out.get(ze, 0) + c
-    return LaurentPoly1("z", out)
-
-
-def _z2_to_t(p: LaurentPoly1) -> LaurentPoly1:
-    if not isinstance(p, LaurentPoly1):
-        raise ValueError("z^2 -> t substitution applies to one-variable input")
-    kernel = LaurentPoly1("t", {1: 1, 0: -2, -1: 1})
-    total = LaurentPoly1.zero("t")
-    for e, c in p.terms.items():
-        if e < 0 or e % 2:
-            raise ValueError(f"z-exponent {e} is not even and nonnegative")
-        total = total + (kernel ** (e // 2)) * c
-    return total
-
-
-def _v2_to_neg_alpha(p: LaurentPoly2) -> LaurentPoly2:
-    if not isinstance(p, LaurentPoly2):
-        raise ValueError("v^2 -> -alpha substitution applies to two-variable input")
-    out: dict[tuple[int, int], int] = {}
-    for (ve, ze), c in p.terms.items():
-        if ve % 2:
-            raise ValueError(f"v-exponent {ve} is odd")
-        j = ve // 2
-        key = (j, ze)
-        out[key] = out.get(key, 0) + c * (-1) ** (j % 2)
-    return LaurentPoly2(("alpha", "z"), out)
-
-
-_RULES = {
-    "v_to_1": _v_to_1,
-    "z2_to_t": _z2_to_t,
-    "v2_to_neg_alpha": _v2_to_neg_alpha,
-}
-
-
-def specialize(p: LaurentPoly1 | LaurentPoly2, rule: str):
-    """Apply a named substitution.
-
-    * ``v_to_1``: collapse the first variable; the result lives in z.
-    * ``z2_to_t``: map z^{2i} to (t - 2 + 1/t)^i; needs even nonnegative
-      z-exponents.
-    * ``v2_to_neg_alpha``: map v^{2j} to (-alpha)^j; needs even v-exponents.
-    """
-    try:
-        fn = _RULES[rule]
-    except KeyError:
-        raise ValueError(f"unknown specialization {rule!r}") from None
-    return fn(p)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .braid import BraidWord, cable_braid, closure_stats, kn_braid, kn_plus_braid
 from .errors import BraidError
 from .homfly import _alexander_of, homfly, p0
-from .poly import LaurentPoly1, LaurentPoly2, specialize
+from .poly import LaurentPoly1, LaurentPoly2
 
 __all__ = [
     "SharpnessReport",
@@ -119,7 +119,13 @@ def ito_obstruction(
     if stats.components != 1:
         raise BraidError("the Ito obstruction applies to knots only")
     P = homfly(b, engine=engine, max_strands=max_strands, node_budget=node_budget, memo=memo)
-    tilde = specialize(P, "v2_to_neg_alpha").shift(-genus, 0, (-1) ** genus)
+    terms = {}
+    for (ve, ze), c in P.terms.items():
+        if ve % 2:
+            raise ValueError(f"v-exponent {ve} is odd; engine fault")
+        j = ve // 2 - genus  # v^ve -> (-alpha)^(ve/2), times (-alpha)^-g
+        terms[(j, ze)] = -c if j % 2 else c
+    tilde = LaurentPoly2(("alpha", "z"), terms)
     negatives = [
         (e2, -e1, e1, c) for (e1, e2), c in tilde.terms.items() if c < 0
     ]

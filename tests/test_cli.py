@@ -95,6 +95,15 @@ class TestVerify:
             ["verify", "traintrack", "--backtrack-bound=-1"],
             ["verify", "traintrack", "--backtrack-bound", "0"],
             ["verify", "all", "--backtrack-bound", "abc"],
+            ["verify", "topterm", "--node-budget", "0"],
+            ["verify", "all", "--node-budget=-5"],
+            ["invariants", "--braid", "1 1 1", "--node-budget", "0"],
+            ["verify", "genus", "--max-strands", "0"],
+            ["verify", "ito", "--max-strands=-1"],
+            # the suites' --n must parse as a positive integer
+            ["verify", "genus", "--n", "0"],
+            ["verify", "ito", "--n", "0"],
+            ["verify", "ito", "--n=-2"],
         ],
     )
     def test_removed_flags_rejected(self, argv):

@@ -63,6 +63,10 @@ def words(max_strands=4, max_len=9):
     )
 
 
+def knot_words(max_strands=5, max_len=10):
+    return words(max_strands, max_len).filter(lambda b: closure_stats(b).components == 1)
+
+
 class TestAnchors:
     def test_unknot(self):
         assert homfly(UNKNOT) == P([[0, 0, 1]])
@@ -166,7 +170,43 @@ class TestCoefficients:
         assert dec.coeffs[1] == LaurentPoly1.from_pairs("v", [(2, 1)])
 
 
+# The v -> 1 and z^2 -> t - 2 + 1/t substitutions as the former
+# `poly.specialize` rules computed them: a test oracle for `_alexander_of`.
+def _v_to_1(p: LaurentPoly2) -> LaurentPoly1:
+    if not isinstance(p, LaurentPoly2):
+        raise ValueError("v -> 1 substitution applies to two-variable input")
+    out: dict[int, int] = {}
+    for (_, ze), c in p.terms.items():
+        out[ze] = out.get(ze, 0) + c
+    return LaurentPoly1("z", out)
+
+
+def _z2_to_t(p: LaurentPoly1) -> LaurentPoly1:
+    if not isinstance(p, LaurentPoly1):
+        raise ValueError("z^2 -> t substitution applies to one-variable input")
+    kernel = LaurentPoly1("t", {1: 1, 0: -2, -1: 1})
+    total = LaurentPoly1.zero("t")
+    for e, c in p.terms.items():
+        if e < 0 or e % 2:
+            raise ValueError(f"z-exponent {e} is not even and nonnegative")
+        total = total + (kernel ** (e // 2)) * c
+    return total
+
+
 class TestAlexander:
+    @settings(max_examples=150, deadline=None)
+    @given(knot_words())
+    @example(kn_braid(2))
+    def test_matches_reference_substitution(self, b):
+        P_ = homfly(b)
+        assert _alexander_of(P_) == _z2_to_t(_v_to_1(P_))
+
+    @pytest.mark.parametrize("triples", [[[0, 0, 1], [2, 1, 1]], [[0, 0, 1], [0, -2, 1]]],
+                             ids=["odd", "negative"])
+    def test_planted_z_exponent_raises(self, triples):
+        with pytest.raises(ValueError, match="z-exponent"):
+            _alexander_of(P(triples))
+
     def test_values(self):
         assert alexander(TREFOIL) == LaurentPoly1.from_pairs("t", [(-1, 1), (0, -1), (1, 1)])
         assert alexander(FIGURE8) == LaurentPoly1.from_pairs("t", [(-1, -1), (0, 3), (1, -1)])
@@ -661,6 +701,20 @@ class TestCanonicalKeyAndCache:
         again = PolynomialCache(path)
         assert again.get("k") is None
         assert again.stats()["records"] == 0
+
+    def test_foreign_tags_skipped(self, tmp_path):
+        # the unit identity reads no tags, so only the load can refuse them
+        path = tmp_path / "polys.jsonl"
+        key = canonical_key(TREFOIL)
+        PolynomialCache(path).put(key, 2, homfly(TREFOIL), algorithm="hecke")
+        record = json.loads(path.read_text())
+        record["tags"] = ["alpha", "z"]
+        path.write_text(json.dumps(record) + "\n")
+        again = PolynomialCache(path)
+        assert again.get(key) is None
+        assert again.stats()["records"] == 0
+        served = homfly(TREFOIL, cache=again)
+        assert served.vars == ("v", "z") and served == hecke_homfly(TREFOIL)
 
     def test_clear(self, tmp_path):
         path = tmp_path / "polys.jsonl"

@@ -3,7 +3,11 @@ referenced in the module or listed in its ``__all__``.  ``__init__.py`` is
 exempt, because its imports are the package's re-exports.
 
 No module holds an ``assert`` statement: ``python -O`` strips them, so a
-check written as one does not run there.  Checks raise instead."""
+check written as one does not run there.  Checks raise instead.
+
+No ``__all__`` names a stale export: every listed name is bound at the top
+level of its module (a def, class, assignment or import), and every name in
+``knotcert.__all__`` resolves on the package."""
 
 import ast
 from pathlib import Path
@@ -58,3 +62,34 @@ def test_guard_sees_an_assert():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_no_assert_statements(path):
     assert assert_lines(path.read_text()) == []
+
+
+def unbound_exports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+            bound |= names
+            if "__all__" in names:
+                exported = [e.value for e in node.value.elts]
+    return sorted(name for name in exported if name not in bound)
+
+
+def test_guard_sees_a_stale_export():
+    source = "from os import path\n__all__ = ['f', 'path', 'gone']\ndef f():\n    return path\n"
+    assert unbound_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_stale_exports(path):
+    assert unbound_exports(path.read_text()) == []
+
+
+def test_package_exports_resolve():
+    assert [name for name in knotcert.__all__ if not hasattr(knotcert, name)] == []

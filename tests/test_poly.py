@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from knotcert.poly import LaurentPoly1, LaurentPoly2, specialize
+from knotcert.poly import LaurentPoly1, LaurentPoly2, _add_into, _horner
 
 
 def poly1(var="v", max_terms=6):
@@ -115,41 +115,25 @@ class TestRendering:
         assert LaurentPoly2.from_triples(("v", "z"), p.to_triples()) == p
 
 
-class TestSpecialize:
-    def test_v_to_1(self):
-        p = LaurentPoly2.from_triples(("v", "z"), [[2, 1, 3], [-1, 1, 1], [0, 0, 4]])
-        q = specialize(p, "v_to_1")
-        assert q.var == "z"
-        assert q.to_pairs() == [[0, 4], [1, 4]]
-
-    def test_z2_to_t_symmetric_kernel(self):
-        # z^2 -> t - 2 + 1/t so z^4 -> (t - 2 + 1/t)^2
-        p = LaurentPoly1.from_pairs("z", [(2, 1)])
-        assert specialize(p, "z2_to_t").to_pairs() == [[-1, 1], [0, -2], [1, 1]]
-        with pytest.raises(ValueError):
-            specialize(LaurentPoly1.from_pairs("z", [(1, 1)]), "z2_to_t")
-
-    def test_v2_to_neg_alpha(self):
-        p = LaurentPoly2.from_triples(("v", "z"), [[2, 0, 1], [4, 2, 3], [-2, 0, 1]])
-        q = specialize(p, "v2_to_neg_alpha")
-        assert q.vars == ("alpha", "z")
-        assert q.to_triples() == [[-1, 0, -1], [1, 0, -1], [2, 2, 3]]
-        with pytest.raises(ValueError):
-            specialize(LaurentPoly2.from_triples(("v", "z"), [[1, 0, 1]]), "v2_to_neg_alpha")
-
-    @pytest.mark.parametrize(
-        "p, rule",
-        [
-            (LaurentPoly1("v", {2: 1}), "v_to_1"),
-            (LaurentPoly1("v", {2: 1}), "v2_to_neg_alpha"),
-            (LaurentPoly2.one(), "z2_to_t"),
-        ],
-        ids=["v_to_1", "v2_to_neg_alpha", "z2_to_t"],
+class TestKernels:
+    @given(
+        st.dictionaries(st.integers(0, 4), poly1().map(lambda p: dict(p.terms)), max_size=4),
+        poly1(max_terms=3),
     )
-    def test_wrong_shape_rejected(self, p, rule):
-        with pytest.raises(ValueError):
-            specialize(p, rule)
+    def test_horner_is_the_power_sum(self, rows, s):
+        expected = LaurentPoly1.zero("v")
+        for j, row in rows.items():
+            expected = expected + LaurentPoly1("v", row) * s ** j
+        assert LaurentPoly1("v", _horner(rows, dict(s.terms))) == expected
 
-    def test_unknown_rule(self):
-        with pytest.raises(ValueError):
-            specialize(LaurentPoly1.one("v"), "no_such_rule")
+    def test_horner_in_the_alexander_kernel(self):
+        # z^4 -> (t - 2 + 1/t)^2
+        kernel = {-1: 1, 0: -2, 1: 1}
+        assert _horner({2: {0: 1}}, kernel) == {-2: 1, -1: -4, 0: 6, 1: -4, 2: 1}
+        assert _horner({}, kernel) == {}
+
+    @given(poly1(), poly1(), st.integers(-3, 3), st.integers(-2, 2))
+    def test_add_into(self, a, b, shift, scale):
+        dst = dict(a.terms)
+        _add_into(dst, b.terms, shift, scale)
+        assert dst == dict((a + b.shift(shift, scale)).terms)  # zeros pruned in place

@@ -3,8 +3,11 @@ import importlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotcert.braid import BraidWord, cable_braid, kn_braid, kn_plus_braid
+from knotcert import positivity
+from knotcert.braid import BraidWord, cable_braid, closure_stats, kn_braid, kn_plus_braid
 from knotcert.errors import BraidError
+from knotcert.homfly import homfly
+from knotcert.poly import LaurentPoly2
 from knotcert.positivity import (
     genus_kn,
     ito_obstruction,
@@ -20,6 +23,29 @@ def positive_words(max_strands=5, max_len=12):
             st.integers(1, n - 1), min_size=1, max_size=max_len
         ).map(lambda ls: BraidWord(n, tuple(ls)))
     )
+
+
+def knot_words(max_strands=5, max_len=10):
+    return st.integers(2, max_strands).flatmap(
+        lambda n: st.lists(
+            st.sampled_from([i for i in range(-(n - 1), n) if i != 0]), max_size=max_len
+        ).map(lambda ls: BraidWord(n, tuple(ls)))
+    ).filter(lambda b: closure_stats(b).components == 1)
+
+
+# v^2 -> -alpha as the former `poly.specialize` rule computed it: a test
+# oracle for the P~ that `ito_obstruction` builds in place.
+def _v2_to_neg_alpha(p: LaurentPoly2) -> LaurentPoly2:
+    if not isinstance(p, LaurentPoly2):
+        raise ValueError("v^2 -> -alpha substitution applies to two-variable input")
+    out: dict[tuple[int, int], int] = {}
+    for (ve, ze), c in p.terms.items():
+        if ve % 2:
+            raise ValueError(f"v-exponent {ve} is odd")
+        j = ve // 2
+        key = (j, ze)
+        out[key] = out.get(key, 0) + c * (-1) ** (j % 2)
+    return LaurentPoly2(("alpha", "z"), out)
 
 
 class TestSharpness:
@@ -82,6 +108,18 @@ class TestIto:
         verdict = ito_obstruction(kn_braid(2), genus=6)
         z0 = {a: c for a, z, c in verdict.tilde_poly.to_triples() if z == 0}
         assert max(z0) == 3 and z0[3] == -1
+
+    @settings(max_examples=150, deadline=None)
+    @given(knot_words(), st.integers(0, 7))
+    def test_tilde_matches_reference_substitution(self, b, genus):
+        expected = _v2_to_neg_alpha(homfly(b)).shift(-genus, 0, (-1) ** genus)
+        assert ito_obstruction(b, genus).tilde_poly == expected
+
+    def test_planted_odd_v_exponent_raises(self, monkeypatch):
+        planted = LaurentPoly2.from_triples(("v", "z"), [[0, 0, 1], [1, 2, 1]])
+        monkeypatch.setattr(positivity, "homfly", lambda b, **kw: planted)
+        with pytest.raises(ValueError, match="v-exponent 1"):
+            ito_obstruction(BraidWord(2, (1, 1, 1)), genus=1)
 
     def test_wrong_genus_flags_mismatch(self):
         verdict = ito_obstruction(BraidWord(2, (1, 1, 1)), genus=2)
