@@ -520,9 +520,11 @@ def p0(
     """Zeroth coefficient polynomial of the closure.
 
     Tries the dedicated skein fast path first; on budget exhaustion falls
-    back to extracting p^0 from the full Hecke HOMFLY polynomial.  The result,
-    by either path, must pass :func:`_check_p0_identity` and is shared through
-    ``memo`` as in :func:`homfly`.
+    back to extracting p^0 from the full Hecke HOMFLY polynomial, unless the
+    braid is over ``max_strands``: then the walk's exhaustion is raised, with
+    its spend.  The result, by either path, must pass
+    :func:`_check_p0_identity` and is shared through ``memo`` as in
+    :func:`homfly`.
     """
 
     def compute() -> LaurentPoly1:
@@ -531,7 +533,7 @@ def p0(
             rules = _with_powers(_P0_RULES, b.strands)
             return LaurentPoly1("v", _resolve(b.letters, b.strands, budget, rules, None))
         except BudgetExceededError:
-            if not fallback:
+            if not fallback or b.strands > max_strands:  # Hecke would refuse it
                 raise
         P = homfly(b, max_strands=max_strands, memo=memo)
         return coefficient_polys(P, closure_stats(b).components).coeffs[0]

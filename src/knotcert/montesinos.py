@@ -1,7 +1,8 @@
 """Seifert-invariant arithmetic for Montesinos links: normal forms, the
 Lisca-Stipsicz L-space criterion for M(-1; r1, r2, r3), exact determinants,
-and the determinant recursion and surgery-slope bookkeeping for the family
-of quotient links attached to the even beta braids.
+and the determinant and surgery-slope ledger of the quotient links of the
+even beta braids, whose every flag can fail: it compares a closed form with
+two det_montesinos values, whatever k is.
 
 Everything is exact rational arithmetic; the criterion's strict inequalities
 are never evaluated in floating point.
@@ -59,7 +60,6 @@ class EllFamilyReport:
     k: int
     det_ell: int
     det_ell0: int
-    det_ell_inf: tuple[int, ...]
     recursion_holds: bool
     endpoints_match: bool
 
@@ -150,51 +150,45 @@ def ellinf_montesinos(k: int) -> SeifertData:
     return SeifertData(0, (Fraction(2, 5), Fraction(-1, 2), Fraction(2 * k, 14 * k - 1)))
 
 
-def _det_ell(k: int) -> int:
-    """det(ell) = 12k^2 + 2k in closed form."""
-    return 12 * k * k + 2 * k
+def _endpoint_dets(k: int) -> tuple[int, int]:
+    """det(ell_0) and det(ell_inf^(2k-1)), each read from det_montesinos."""
+    if k < 1:
+        raise ValueError("family parameter k must be >= 1")
+    return det_montesinos(ell0_montesinos(k)), det_montesinos(ellinf_montesinos(k))
 
 
 def ell_family(k: int) -> EllFamilyReport:
-    """Determinant ledger for the resolution chain ell -> ell^1 -> ... at
-    parameter k: closed forms det(ell) = 12k^2 + 2k, det(ell_0) = 6k + 1,
-    det(ell_inf^i) = 12k^2 + 2k - (6k+1) i, the additive recursion linking
-    them, and agreement of both Montesinos endpoints with det_montesinos.
-    ``recursion_holds`` is an identity of the closed forms and cannot fail;
-    only ``endpoints_match`` checks against an independent computation.
+    """Determinant ledger for the resolution chain ell -> ell^1 -> ... ->
+    ell^(2k-1) = ell_inf at parameter k, where each of the 2k-1 resolutions
+    adds det(ell_0).  The closed forms det(ell) = 12k^2 + 2k and
+    det(ell_0) = 6k + 1 are checked against the two Montesinos determinants:
+    ``endpoints_match`` compares each endpoint with its closed form, and
+    ``recursion_holds`` runs the recursion det(ell) = det(ell_inf) +
+    (2k-1) det(ell_0) from those endpoints.  A wrong determinant fails both.
     """
-    if k < 1:
-        raise ValueError("family parameter k must be >= 1")
-    det_ell = _det_ell(k)
-    det_ell0 = 6 * k + 1
-    det_inf = tuple(det_ell - det_ell0 * i for i in range(1, 2 * k))
-    chain = (det_ell,) + det_inf
-    recursion = all(a == b + det_ell0 for a, b in zip(chain, chain[1:]))
-    endpoints = (
-        det_montesinos(ell0_montesinos(k)) == det_ell0
-        and det_montesinos(ellinf_montesinos(k)) == det_inf[-1]
-    )
+    ell0, ell_inf = _endpoint_dets(k)
+    det_ell, det_ell0, steps = 12 * k * k + 2 * k, 6 * k + 1, 2 * k - 1
     return EllFamilyReport(
         k=k,
         det_ell=det_ell,
         det_ell0=det_ell0,
-        det_ell_inf=det_inf,
-        recursion_holds=recursion,
-        endpoints_match=endpoints,
+        recursion_holds=det_ell == ell_inf + steps * ell0,
+        endpoints_match=ell0 == det_ell0 and ell_inf == det_ell - steps * det_ell0,
     )
 
 
 def surgery_slopes(k: int) -> SurgerySlopes:
-    """Slope arithmetic at parameter k, with the consistency identity
-    8k^2 + (4k^2 + 2k) = 12k^2 + 2k = det(ell), which holds by algebra and cannot fail."""
-    if k < 1:
-        raise ValueError("family parameter k must be >= 1")
+    """Slope arithmetic at parameter k: the quotient coefficient 4k^2 + 2k
+    lifts to the slope 8k^2 + 4k^2 + 2k, and ``consistent`` compares that
+    lift with det(ell) as the recursion derives it from the two Montesinos
+    determinants, det(ell_inf) + (2k-1) det(ell_0)."""
+    ell0, ell_inf = _endpoint_dets(k)
     quotient = 4 * k * k + 2 * k
-    slope = 12 * k * k + 2 * k
+    slope = 8 * k * k + quotient
     return SurgerySlopes(
         k=k,
         quotient_coeff=quotient,
         lspace_slope=slope,
         writhe=quotient + 1,
-        consistent=8 * k * k + quotient == slope == _det_ell(k),
+        consistent=slope == ell_inf + (2 * k - 1) * ell0,
     )

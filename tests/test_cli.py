@@ -1,9 +1,10 @@
+import argparse
 import hashlib
 import json
 
 import pytest
 
-from knotcert.cli import default_cache_path, main
+from knotcert.cli import _build_parser, _positive_int, default_cache_path, main
 
 # sha256 of the `verify all --level desk --json` entries without `seconds`
 DESK_DIGEST = "6a4b3350c9df4cc9836f3e0a2e8b91bd24d48f4874260d0699df0447c061817e"
@@ -104,6 +105,17 @@ class TestVerify:
             ["verify", "genus", "--n", "0"],
             ["verify", "ito", "--n", "0"],
             ["verify", "ito", "--n=-2"],
+            # sweep bounds must be positive and leave a sweep to run
+            ["verify", "decomposition", "--n-max", "0"],
+            ["verify", "decomposition", "--n-max", "1"],
+            ["verify", "sharpness", "--n-max", "1"],
+            ["verify", "dehornoy", "--n-max", "1"],
+            ["verify", "traintrack", "--n-max", "2"],
+            ["verify", "lspace", "--k-max", "-3"],
+            ["verify", "lspace", "--k-max", "0"],
+            ["verify", "slopes", "--k-max", "0"],
+            ["verify", "ito", "--n", "3", "--genus", "-1"],
+            ["verify", "ito", "--n", "3", "--genus", "0"],
         ],
     )
     def test_removed_flags_rejected(self, argv):
@@ -201,6 +213,16 @@ class TestVerify:
         assert "[skipped] topterm-n5" in proc.stdout
         assert "0 fail" in proc.stdout
 
+    def test_skip_over_the_strand_cap_reports_the_walk_spend(self, capsys):
+        # beta_5 has 10 strands, over the Hecke cap of 8: p0 must not fall
+        # back, and the skip must say how far the walk got
+        code, out, _ = run(capsys, "verify", "topterm", "--n", "5", "--node-budget", "1000",
+                           "--json")
+        assert code == 0
+        entry = json.loads(out)["entries"][0]
+        assert entry["status"] == "skipped"
+        assert entry["computed"] == "budget exceeded: skein node budget exhausted (spent 1000)"
+
     def test_desk_suite_survives_optimize_flag(self):
         import subprocess
         import sys
@@ -281,8 +303,26 @@ class TestTraintrackMaps:
         assert entries["usermap-transition-map.json"]["computed"]["lambda"] == 5.445978883
 
     def test_missing_file_fails(self, capsys):
-        code, _, err = run(capsys, "verify", "traintrack", "--map", "/nonexistent.json")
+        code, out, _ = run(capsys, "verify", "traintrack", "--map", "/nonexistent.json",
+                           "--json")
         assert code == 1
+        entries = json.loads(out)["entries"]
+        assert len(entries) == 3
+        assert all(e["status"] == "fail" and "FileNotFoundError" in e["computed"]
+                   for e in entries)
+
+    def test_map_parsed_once_per_run(self, tmp_path, capsys, monkeypatch):
+        import knotcert.cli as cli
+        from knotcert.traintrack import kn_map, map_to_json
+
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(map_to_json(kn_map(3))))
+        calls = []
+        real = cli.map_from_json
+        monkeypatch.setattr(cli, "map_from_json", lambda data: calls.append(1) or real(data))
+        code, _, _ = run(capsys, "verify", "traintrack", "--map", str(path))
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestInvariants:
@@ -408,3 +448,28 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["--version"])
         assert err.value.code == 0
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
+def bare_int_verify_options(parser: argparse.ArgumentParser) -> list[str]:
+    """Every `verify` option that is parsed by bare int, so that zero or a
+    negative number would pass as a bound."""
+    targets = _subcommands(_subcommands(parser)["verify"])
+    return sorted(f"{name} {flag}" for name, sub in targets.items()
+                  for action in sub._actions if action.type is int
+                  for flag in action.option_strings)
+
+
+class TestIntegerOptions:
+    def test_guard_sees_a_bare_int(self):
+        parser = argparse.ArgumentParser()
+        target = parser.add_subparsers().add_parser("verify").add_subparsers().add_parser("x")
+        target.add_argument("--n-max", type=int)
+        target.add_argument("--k-max", type=_positive_int)
+        assert bare_int_verify_options(parser) == ["x --n-max"]
+
+    def test_no_verify_option_is_a_bare_int(self):
+        assert bare_int_verify_options(_build_parser()) == []

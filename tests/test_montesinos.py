@@ -113,14 +113,12 @@ class TestEllFamily:
         rep = ell_family(k)
         assert rep.det_ell == 12 * k * k + 2 * k
         assert rep.det_ell0 == 6 * k + 1
-        assert len(rep.det_ell_inf) == 2 * k - 1
         assert rep.recursion_holds and rep.endpoints_match
 
     def test_k1_concrete(self):
         rep = ell_family(1)
         assert rep.det_ell == 14
         assert rep.det_ell0 == 7
-        assert rep.det_ell_inf == (7,)
 
     def test_endpoint_montesinos_determinants(self):
         assert det_montesinos(ell0_montesinos(3)) == 19
@@ -134,6 +132,29 @@ class TestEllFamily:
     def test_k0_rejected(self):
         with pytest.raises(ValueError):
             ell_family(0)
+        with pytest.raises(ValueError):
+            surgery_slopes(0)
+
+    @pytest.fixture
+    def off_by_one_det(self, monkeypatch):
+        """Plant a fault: every Montesinos determinant reads one too high."""
+        import knotcert.montesinos as mod
+
+        real = mod.det_montesinos
+        monkeypatch.setattr(mod, "det_montesinos", lambda s: real(s) + 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 500])
+    def test_planted_determinant_fault_fails_every_flag(self, k, off_by_one_det):
+        rep = ell_family(k)
+        assert not rep.recursion_holds
+        assert not rep.endpoints_match
+        assert not surgery_slopes(k).consistent
+
+    def test_planted_fault_fails_the_slopes_suite(self, off_by_one_det, capsys):
+        from knotcert.cli import main
+
+        assert main(["verify", "slopes", "--k-max", "3"]) == 1
+        assert "3 fail" in capsys.readouterr().out
 
 
 class TestSurgerySlopes:
