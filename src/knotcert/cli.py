@@ -214,20 +214,20 @@ _TORUS_KNOTS = {1: "the trefoil", 2: "the (2,5) torus knot"}  # genus -> name
 
 
 def _ito(o, ns, genus) -> list[Claim]:
-    def verdict(braid, g):
-        return ito_obstruction(braid, g, max_strands=o.max_strands, node_budget=o.node_budget,
-                               memo=o.memo)
+    def verdict(braid, g, engine):
+        return ito_obstruction(braid, g, engine=engine, max_strands=o.max_strands,
+                               node_budget=o.node_budget, memo=o.memo)
 
-    def control(g):
-        v = verdict(BraidWord(2, (1,) * (2 * g + 1)), g)
+    def control(g):  # positivity needs every coefficient: the full Hecke P, on 2 strands
+        v = verdict(BraidWord(2, (1,) * (2 * g + 1)), g, "hecke")
         return v.positive, _ito_computed(v)
 
-    def kn(n):
+    def kn(n):  # the obstruction fires in z^0, so p0 certifies it
         if n % 2 == 1:  # no genus formula, so no proven expectation
-            return None, _ito_computed(verdict(kn_braid(n), genus))
-        v = verdict(kn_braid(n), genus_kn(n))
+            return None, _ito_computed(verdict(kn_braid(n), genus, "p0"))
+        v = verdict(kn_braid(n), genus_kn(n), "p0")
         computed = _ito_computed(v)
-        return (not v.positive) and computed["z0_top"] == [2 * n - 1, -1], computed
+        return v.positive is False and computed["z0_top"] == [2 * n - 1, -1], computed
 
     def kn_text(n):
         if n % 2 == 1:
@@ -243,7 +243,7 @@ def _ito(o, ns, genus) -> list[Claim]:
 
 def _genus(o, ns) -> list[Claim]:
     def check(n):
-        d = alexander(kn_braid(n), max_strands=o.max_strands, memo=o.memo).degree
+        d = alexander(kn_braid(n), memo=o.memo).degree
         g = genus_kn(n)
         return 2 * d == 2 * g, {"alexander_span": 2 * d, "genus": g}
 
@@ -405,8 +405,8 @@ def _int_arg(flag: str, default: int | None, **kw) -> tuple[str, dict]:
 
 # Table order is build order.  One `verify` run shares results through one run
 # memo, so the order decides which claim pays for a result it shares with a
-# later one (ito-kn-n4 computes the Hecke HOMFLY of beta_4 that genus-n4
-# reuses).
+# later one (ito-kn-n4 reuses the p0 of beta_4 that topterm-n4 computes, and
+# genus-n4 the Burau Alexander polynomial that ito-kn-n4 computes).
 SUITES: dict[str, Suite] = {
     "topterm": Suite(
         "top term of p0 for one beta braid", (_int_arg("--n", 2),),
@@ -426,7 +426,8 @@ SUITES: dict[str, Suite] = {
     "ito": Suite(
         "braid-positivity obstruction controls and one beta braid",
         (_int_arg("--n", 2),
-         _int_arg("--genus", None, help="required for odd --n")),
+         _int_arg("--genus", None,
+                  help="required for odd --n; at even --n it must equal the formula's")),
         lambda a: {"ns": [a.n], "genus": a.genus}, _ito,
         desk={"ns": [2], "genus": None}, full={"ns": [2, 4], "genus": None},
     ),
@@ -650,6 +651,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "verify":
         if args.target == "ito" and args.n % 2 == 1 and args.genus is None:
             parser.error("odd --n has no genus formula; supply --genus explicitly")
+        if (args.target == "ito" and args.n % 2 == 0
+                and args.genus not in (None, genus_kn(args.n))):
+            parser.error(f"--genus {args.genus} differs from the formula's genus "
+                         f"{genus_kn(args.n)} at even --n")
         if args.target == "genus" and args.n % 2 == 1:
             parser.error("the genus formula is available for even --n only")
         if args.target == "topterm" and args.n < 2:

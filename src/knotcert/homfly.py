@@ -22,6 +22,10 @@ Engines:
   oracle, the p0 row the fast path of :func:`p0`.  Both rows work on Laurent
   dicts with int keys; the HOMFLY row packs v^a z^b into one key.
 
+The Alexander polynomial of a knot comes from a third engine, the unreduced
+Burau matrix, at any strand count; :func:`_alexander_of` still reads it from
+a HOMFLY polynomial that a caller already holds.
+
 The zeroth coefficient polynomial p^0 is the i = 0 entry of the expansion
 P = (v^-1 z)^(1 - c) * sum_i p^i(v) z^(2i).  Its dedicated skein rules need
 the crossing type: a self-crossing (both strands on one component) smooths
@@ -131,7 +135,10 @@ def _markov_close(state: dict, strands: int, bits: int, zslots: int) -> int:
 
 
 def _unpack(packed: int, bits: int):
-    """Balanced base-2^bits digits of ``packed``: (slot, nonzero digit)."""
+    """Balanced base-2^bits digits of ``packed``: (slot, nonzero digit).
+    Needs bits >= 2: the digits {-1, 0} of bits = 1 write no positive value."""
+    if bits < 2:
+        raise ValueError(f"balanced digits need at least 2 bits, got {bits}")
     mask = (1 << bits) - 1
     half = 1 << (bits - 1)
     slot = 0
@@ -143,6 +150,88 @@ def _unpack(packed: int, bits: int):
             yield slot, d
         packed = (packed - d) >> bits
         slot += 1
+
+
+# --------------------------------------------------------------------------
+# Burau engine for the Alexander polynomial
+#
+# The unreduced Burau matrix psi sends sigma_i to [[1 - t, t], [1, 0]] on
+# rows and columns i, i + 1; t psi(sigma_i^-1) is [[0, t], [1, t - 1]] there
+# and t on the rest of the diagonal.  With s negative letters t^s psi(beta)
+# is a polynomial matrix, and the minor of t^s I - t^s psi(beta) without its
+# last row and column is Delta(t) up to a unit +-t^k (J. Birman, Braids,
+# Links, and Mapping Class Groups, 1974, ch. 3; C. Kassel and V. Turaev,
+# Braid Groups, 2008, ch. 3).  Right multiplication touches two columns, so
+# the matrix is built column by column, each entry packed at t = 2^B as in
+# the Hecke engine, and the minor is taken by fraction-free Bareiss
+# elimination: every division is exact in Z[t], hence in the packed ints.
+#
+# Width.  Each coefficient of a minor is at most the product of its rows' l1
+# norms.  Replacing t by 1 and taking absolute values gives a majorant of
+# every entry's l1 norm: sigma_i maps its columns (a, c) to (2a + c, a) and
+# t sigma_i^-1 to (c, a + 2c).  A row of the minor then has norm at most
+# 1 (for t^s) plus its majorant sum, and with P the product of those norms
+# every coefficient of every minor Bareiss meets has absolute value at most
+# P < 2^bit_length(P).  That is a balanced base-2^B digit for
+# B = bit_length(P) + 1, so unpacking is exact and a nonzero pivot packs to
+# a nonzero int.
+
+
+def _burau_width(b: BraidWord) -> int:
+    """The proven width B for the Burau minor of ``b``, see the note above."""
+    n = b.strands
+    cols = [[int(r == c) for r in range(n)] for c in range(n)]
+    for x in b.letters:
+        i = abs(x) - 1
+        a, c = cols[i], cols[i + 1]
+        if x > 0:
+            cols[i], cols[i + 1] = [2 * p + q for p, q in zip(a, c)], a
+        else:
+            cols[i], cols[i + 1] = c, [p + 2 * q for p, q in zip(a, c)]
+    bound = 1
+    for r in range(n - 1):
+        bound *= 1 + sum(col[r] for col in cols[:-1])
+    return bound.bit_length() + 1
+
+
+def _burau_alexander(b: BraidWord) -> LaurentPoly1:
+    """Alexander polynomial of a knot closure from its Burau minor, shifted to
+    be symmetric and signed to have value 1 at 1.  Raises unless the minor
+    has value +-1 at t = 1 and is symmetric up to a power of t, as the unit
+    identity guards HOMFLY results."""
+    bits = _burau_width(b)
+    n = b.strands
+    cols = [[int(r == c) for r in range(n)] for c in range(n)]
+    for x in b.letters:
+        i = abs(x) - 1
+        a, c = cols[i], cols[i + 1]
+        if x > 0:
+            cols[i] = [p - (p << bits) + q for p, q in zip(a, c)]
+            cols[i + 1] = [p << bits for p in a]
+        else:  # t sigma_i^-1: every other column is multiplied by t too
+            cols = [[p << bits for p in col] for col in cols]
+            cols[i], cols[i + 1] = c, [((p + q) << bits) - q for p, q in zip(a, c)]
+    ts = 1 << (bits * sum(x < 0 for x in b.letters))  # t^s
+    rows = [[(ts if r == c else 0) - cols[c][r] for c in range(n - 1)] for r in range(n - 1)]
+    prev = 1
+    while rows:  # Bareiss: the last pivot is the minor, up to the sign of row moves
+        k = next((k for k, row in enumerate(rows) if row[0]), None)
+        if k is None:  # a zero minor, which the value check below rejects
+            prev = 0
+            break
+        top = rows.pop(k)
+        rows = [[(x * top[0] - row[0] * y) // prev for x, y in zip(row[1:], top[1:])]
+                for row in rows]
+        prev = top[0]
+    digits = dict(_unpack(prev, bits))
+    value = sum(digits.values())
+    if value not in (1, -1):
+        raise ArithmeticError(f"Burau minor has value {value} at t = 1, not +-1; engine fault")
+    mid, odd = divmod(min(digits) + max(digits), 2)
+    a = LaurentPoly1("t", {e - mid: value * c for e, c in digits.items()})
+    if odd or any(a.coeff(-e) != c for e, c in a.terms.items()):
+        raise ArithmeticError("Burau minor is not symmetric up to a power of t; engine fault")
+    return a
 
 
 def _check_unit_identity(P: LaurentPoly2, components: int) -> None:
@@ -568,18 +657,19 @@ def _determinant_of(a: LaurentPoly1) -> int:
     return abs(int(value))
 
 
-def alexander(b: BraidWord, *, max_strands: int = 8, memo: dict | None = None) -> LaurentPoly1:
-    """Alexander polynomial of a knot closure, symmetric with value 1 at 1;
-    its HOMFLY polynomial is shared through ``memo`` as in :func:`homfly`."""
+def alexander(b: BraidWord, *, memo: dict | None = None) -> LaurentPoly1:
+    """Alexander polynomial of a knot closure, symmetric with value 1 at 1,
+    from the Burau engine at any strand count; shared through ``memo`` as in
+    :func:`homfly`."""
     stats = closure_stats(b)
     if stats.components != 1:
         raise ValueError(f"closure has {stats.components} components, not a knot")
-    return _alexander_of(homfly(b, max_strands=max_strands, memo=memo))
+    return _memoized(memo, "alexander", b, lambda: _burau_alexander(b))
 
 
-def determinant(b: BraidWord, *, max_strands: int = 8) -> int:
+def determinant(b: BraidWord) -> int:
     """Knot determinant |Delta(-1)|."""
-    return _determinant_of(alexander(b, max_strands=max_strands))
+    return _determinant_of(alexander(b))
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, cable_braid, closure_stats, kn_braid, kn_plus_braid
 from .errors import BraidError
-from .homfly import _alexander_of, homfly, p0
+from .homfly import _alexander_of, alexander, homfly, p0
 from .poly import LaurentPoly1, LaurentPoly2
 
 __all__ = [
@@ -45,8 +45,11 @@ class SharpnessReport:
 @dataclass(frozen=True)
 class ItoVerdict:
     """Obstruction outcome.  positive=False certifies the closure is not
-    braid positive; positive=True is inconclusive.  witness is a negative
-    monomial (alpha_exp, z_exp, coeff), present exactly when positive=False.
+    braid positive; positive=True (every coefficient of P~ is positive) is
+    inconclusive, and so is positive=None, which the "p0" engine reports when
+    the z^0 part it computes has no negative coefficient: the rest of P~ is
+    unknown, so it never reads True.  witness is a negative monomial
+    (alpha_exp, z_exp, coeff), present exactly when positive=False.
     genus_alexander_mismatch warns when the supplied genus differs from the
     Alexander top degree; equality is guaranteed only for fibered knots, so
     a mismatch does not invalidate the verdict by itself.
@@ -54,7 +57,7 @@ class ItoVerdict:
 
     genus: int
     tilde_poly: LaurentPoly2
-    positive: bool
+    positive: bool | None
     witness: tuple[int, int, int] | None
     genus_alexander_mismatch: bool
 
@@ -111,14 +114,25 @@ def ito_obstruction(
     """Evaluate P~ = (-alpha)^(-g) P|_{-v^2=alpha} for the closure of b.
 
     The closure must be a knot and genus its Seifert genus.  A negative
-    coefficient in P~ certifies non-braid-positivity.
+    coefficient in P~ certifies non-braid-positivity.  ``engine`` is a
+    HOMFLY engine of :func:`~knotcert.homfly.homfly`, or "p0": for a knot p0
+    is the z^0 part of P, so P~ holds only its z^0 part, no Hecke run is
+    needed at any strand count, and the genus check reads the Burau
+    Alexander polynomial.
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
     stats = closure_stats(b)
     if stats.components != 1:
         raise BraidError("the Ito obstruction applies to knots only")
-    P = homfly(b, engine=engine, max_strands=max_strands, node_budget=node_budget, memo=memo)
+    if engine == "p0":
+        z0 = p0(b, node_budget=node_budget, max_strands=max_strands, memo=memo)
+        P = LaurentPoly2(("v", "z"), {(e, 0): c for e, c in z0.terms.items()})
+        alex_degree = alexander(b, memo=memo).degree
+    else:
+        P = homfly(b, engine=engine, max_strands=max_strands, node_budget=node_budget,
+                   memo=memo)
+        alex_degree = _alexander_of(P).degree  # from this engine's P, not a second run
     terms = {}
     for (ve, ze), c in P.terms.items():
         if ve % 2:
@@ -133,11 +147,10 @@ def ito_obstruction(
     if negatives:
         z_exp, _, a_exp, coeff = min(negatives)
         witness = (a_exp, z_exp, coeff)
-    alex_degree = _alexander_of(P).degree  # from this engine's P, not a second run
     return ItoVerdict(
         genus=genus,
         tilde_poly=tilde,
-        positive=witness is None,
+        positive=False if witness else None if engine == "p0" else True,
         witness=witness,
         genus_alexander_mismatch=alex_degree != genus,
     )

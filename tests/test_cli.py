@@ -6,8 +6,9 @@ import pytest
 
 from knotcert.cli import _build_parser, _positive_int, default_cache_path, main
 
-# sha256 of the `verify all --level desk --json` entries without `seconds`
+# sha256 of the `verify all --level desk|full --json` entries without `seconds`
 DESK_DIGEST = "6a4b3350c9df4cc9836f3e0a2e8b91bd24d48f4874260d0699df0447c061817e"
+FULL_DIGEST = "e81699f2e701b8c6fd3cb697b160696efe4f945acaabd0a0adb678c17ff17ea9"
 
 
 def run(capsys, *argv):
@@ -63,15 +64,33 @@ class TestVerify:
             "ito": 3, "decomposition": 2, "topterm": 2, "genus": 1,
         }
 
-    def test_verify_all_desk_digest(self, capsys):
-        # pins every desk claim's status, statement and computed value
-        code, out, _ = run(capsys, "verify", "all", "--level", "desk", "--json")
+    @pytest.mark.parametrize("level, digest", [("desk", DESK_DIGEST), ("full", FULL_DIGEST)])
+    def test_verify_all_digest(self, capsys, level, digest):
+        # pins every claim's status, statement and computed value
+        code, out, _ = run(capsys, "verify", "all", "--level", level, "--json")
         assert code == 0
         entries = [
             {k: v for k, v in e.items() if k != "seconds"} for e in json.loads(out)["entries"]
         ]
-        digest = hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest()
-        assert digest == DESK_DIGEST
+        assert hashlib.sha256(json.dumps(entries, sort_keys=True).encode()).hexdigest() == digest
+
+    def test_full_suite_runs_no_hecke_over_two_strands(self, capsys, monkeypatch):
+        import importlib
+
+        engine = importlib.import_module("knotcert.homfly")
+        hecke, sizes = engine.hecke_homfly, []
+
+        def guarded(b, **kw):
+            sizes.append(b.strands)
+            if b.strands > 2:
+                raise AssertionError(f"Hecke run on {b.strands} strands")
+            return hecke(b, **kw)
+
+        monkeypatch.setattr(engine, "hecke_homfly", guarded)
+        code, out, _ = run(capsys, "verify", "all", "--level", "full", "--json")
+        assert code == 0
+        assert json.loads(out)["summary"] == {"pass": 1530, "fail": 0, "skipped": 0, "unknown": 0}
+        assert sizes == [2, 2]  # the two torus-knot controls
 
     @pytest.mark.parametrize(
         "argv",
@@ -116,6 +135,9 @@ class TestVerify:
             ["verify", "slopes", "--k-max", "0"],
             ["verify", "ito", "--n", "3", "--genus", "-1"],
             ["verify", "ito", "--n", "3", "--genus", "0"],
+            # at even --n a supplied genus must be the formula's
+            ["verify", "ito", "--n", "2", "--genus", "5"],
+            ["verify", "ito", "--n", "4", "--genus", "6"],
         ],
     )
     def test_removed_flags_rejected(self, argv):
@@ -127,6 +149,18 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "ito", "--n", "2")
         assert code == 0
         assert "ito-control-t23" in out and "ito-kn-n2" in out
+        code, out, _ = run(capsys, "verify", "ito", "--n", "2", "--genus", "6")
+        assert code == 0 and "3 pass" in out
+
+    @pytest.mark.stretch
+    def test_ito_n6(self, capsys):
+        # p0 of beta_6 (12 strands), about 25 s: past the Hecke cap of 8
+        code, out, _ = run(capsys, "verify", "ito", "--n", "6", "--json")
+        assert code == 0
+        entry = {e["claim"]: e for e in json.loads(out)["entries"]}["ito-kn-n6"]
+        assert entry["status"] == "pass"
+        assert entry["computed"]["witness"] == [11, 0, -1]
+        assert entry["computed"]["z0_top"] == [11, -1]
 
     def test_ito_odd_n_needs_genus(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -139,23 +173,32 @@ class TestVerify:
         assert "[unknown] ito-kn-n3" in out
 
     def test_genus_respects_strand_cap(self, capsys):
-        # beta_2 has 4 strands, so its Hecke HOMFLY is over a cap of 2
+        # beta_2 has 4 strands, over a Hecke cap of 2; the Burau engine has no cap
         code, out, _ = run(capsys, "verify", "genus", "--n", "2", "--max-strands", "2", "--json")
         assert code == 0
         entry = json.loads(out)["entries"][0]
-        assert entry["status"] == "skipped"
-        assert "4 strands" in entry["computed"]
+        assert entry["status"] == "pass"
+        assert entry["computed"] == {"alexander_span": 12, "genus": 6}
 
     def test_strand_cap_holds_after_memo_fill(self, capsys):
-        # the first run computes beta_2's HOMFLY; the cap must still bite
+        # a run under the cap gives what a run without it gives
         code, out, _ = run(capsys, "verify", "genus", "--n", "2", "--json")
         assert code == 0
-        assert json.loads(out)["entries"][0]["status"] == "pass"
+        alone = json.loads(out)["entries"][0]
         code, out, _ = run(capsys, "verify", "genus", "--n", "2", "--max-strands", "2", "--json")
         assert code == 0
         entry = json.loads(out)["entries"][0]
-        assert entry["status"] == "skipped"
-        assert "4 strands" in entry["computed"]
+        assert entry["status"] == "pass"
+        assert entry["computed"] == alone["computed"]
+
+    @pytest.mark.parametrize("n, genus", [(6, 52), pytest.param(8, 93, marks=pytest.mark.stretch)])
+    def test_genus_past_the_hecke_cap(self, capsys, n, genus):
+        # 2n strands: 0.1 s at n = 6, about 1 s at n = 8 (stretch)
+        code, out, _ = run(capsys, "verify", "genus", "--n", str(n), "--json")
+        assert code == 0
+        entry = json.loads(out)["entries"][0]
+        assert entry["status"] == "pass"
+        assert entry["computed"] == {"alexander_span": 2 * genus, "genus": genus}
 
     def test_runs_do_not_share_results(self, capsys):
         argv = ("verify", "topterm", "--n", "2", "--node-budget", "19", "--max-strands", "2",

@@ -225,6 +225,33 @@ class TestAlexander:
     def test_k2_span(self):
         assert alexander(kn_braid(2)).degree == 6
 
+    @settings(max_examples=150, deadline=None)
+    @given(knot_words())
+    @example(BraidWord(1, ()))
+    @example(FIGURE8)
+    @example(kn_braid(2))
+    def test_burau_matches_hecke(self, b):
+        assert alexander(b) == _alexander_of(hecke_homfly(b))
+
+    def test_width_one_bit_short(self, monkeypatch):
+        """The proven width is attained on sigma_1^-1, whose Burau minor is t
+        with row norm 1: 2 bits, and one bit less cannot write the 1.  On the
+        figure-eight knot, 2 bits cannot write its coefficient 3."""
+        unknot = BraidWord(2, (-1,))
+        assert engine._burau_width(unknot) == 2
+        assert alexander(unknot) == LaurentPoly1.one("t")
+        assert engine._burau_width(FIGURE8) >= 3
+        monkeypatch.setattr(engine, "_burau_width", lambda b: 1)
+        with pytest.raises(ValueError, match="at least 2 bits"):
+            alexander(unknot)
+        monkeypatch.setattr(engine, "_burau_width", lambda b: 2)
+        with pytest.raises(ArithmeticError, match="value -2 at t = 1"):
+            alexander(FIGURE8)
+
+    def test_beta_widths(self):
+        # the width is the Burau engine's cost lever: pinned, like node counts
+        assert [engine._burau_width(kn_braid(n)) for n in (2, 4, 6, 8)] == [31, 95, 170, 253]
+
 
 class TestBudgets:
     def test_hecke_strand_guard(self):
@@ -322,12 +349,16 @@ class TestHistoryIndependence:
 
         monkeypatch.setattr(engine, "hecke_homfly", counting)
         memo = {}
-        alex = alexander(kn_braid(2), memo=memo)
-        assert _alexander_of(homfly(kn_braid(2), memo=memo)) == alex
+        P_ = homfly(kn_braid(2), memo=memo)
+        # p0's Hecke fallback reads the HOMFLY polynomial from the run memo
+        assert p0(kn_braid(2), node_budget=1, memo=memo) == coefficient_polys(P_, 1).coeffs[0]
+        assert len(calls) == 1
+        alex = alexander(kn_braid(2), memo=memo)  # the Burau engine runs no Hecke
+        assert alex == _alexander_of(P_) and alexander(kn_braid(2), memo=memo) is alex
         assert len(calls) == 1
         with pytest.raises(BudgetExceededError):  # the strand cap comes before the memo
             homfly(kn_braid(2), max_strands=2, memo=memo)
-        alexander(kn_braid(2))  # without a memo a call starts fresh
+        homfly(kn_braid(2))  # without a memo a call starts fresh
         assert len(calls) == 2
 
     def test_no_module_level_containers(self):

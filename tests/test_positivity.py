@@ -121,6 +121,23 @@ class TestIto:
         with pytest.raises(ValueError, match="v-exponent 1"):
             ito_obstruction(BraidWord(2, (1, 1, 1)), genus=1)
 
+    @settings(max_examples=80, deadline=None)
+    @given(knot_words(), st.integers(0, 7))
+    def test_p0_engine_is_the_z0_part(self, b, genus):
+        full = ito_obstruction(b, genus)
+        z0 = ito_obstruction(b, genus, engine="p0")
+        assert z0.tilde_poly.terms == {k: c for k, c in full.tilde_poly.terms.items() if k[1] == 0}
+        fires = any(c < 0 for c in z0.tilde_poly.terms.values())
+        assert z0.positive is (False if fires else None)  # never True: z^0 is not all of P~
+        assert z0.witness == (full.witness if fires else None)
+        assert z0.genus_alexander_mismatch == full.genus_alexander_mismatch
+
+    def test_p0_engine_on_k2_and_torus_knot(self):
+        verdict = ito_obstruction(kn_braid(2), genus=6, engine="p0")
+        assert verdict.positive is False and verdict.witness == (3, 0, -1)
+        assert not verdict.genus_alexander_mismatch
+        assert ito_obstruction(BraidWord(2, (1,) * 5), genus=2, engine="p0").positive is None
+
     def test_wrong_genus_flags_mismatch(self):
         verdict = ito_obstruction(BraidWord(2, (1, 1, 1)), genus=2)
         assert verdict.genus_alexander_mismatch
