@@ -141,9 +141,9 @@ def _emit_report(results: list[ClaimResult], as_json: bool, config: dict) -> int
 
 
 def _config_echo(args) -> dict:
-    keys = ("max_strands", "node_budget", "pf_tolerance", "backtrack_bound", "handle_budget",
-            "level", "n", "n_max", "k_max", "genus")
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+    """Every option the target was parsed with, so exactly the bounds that applied."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("command", "target", "json") and v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -378,9 +378,10 @@ def _dehornoy(o, ns) -> list[Claim]:
 
 @dataclass(frozen=True)
 class Suite:
-    """One `verify` target.  args are its own (flag, argparse keywords)
-    pairs; inputs maps the parsed arguments to build's keyword inputs; desk
-    and full are those inputs for `verify all` at each level."""
+    """One `verify` target.  args are its (flag, argparse keywords) pairs,
+    budget flags included; inputs maps the parsed arguments to build's keyword
+    inputs and raises ValueError on a broken argument rule; desk and full are
+    those inputs for `verify all` at each level."""
 
     help: str
     args: tuple[tuple[str, dict], ...]
@@ -403,23 +404,59 @@ def _int_arg(flag: str, default: int | None, **kw) -> tuple[str, dict]:
     return flag, {"type": _positive_int, "default": default, **kw}
 
 
+def _positive_fraction(text: str) -> Fraction:
+    try:
+        if (value := Fraction(text)) > 0:
+            return value
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive rational, got {text!r}")
+
+
+# The budget flags.  A suite row lists the ones its claims read.
+MAX_STRANDS = _int_arg("--max-strands", 8, help="Hecke engine strand cap")
+NODE_BUDGET = _int_arg("--node-budget", 5_000_000, help="skein recursion node cap")
+PF_TOLERANCE = ("--pf-tolerance", {"type": _positive_fraction, "default": Fraction(1, 10**9),
+                                   "help": "eigenvalue enclosure width, e.g. 1e-9 or 1/10000"})
+BACKTRACK_BOUND = _int_arg("--backtrack-bound", None, help=(
+    "efficiency iteration bound (default 2 * real edges; all edges for --map)"))
+HANDLE_BUDGET = _int_arg("--handle-budget", DEFAULT_STEP_BUDGET, help="handle reduction cap")
+
+
+def _checked(inputs: dict, holds: bool, message: str) -> dict:
+    """inputs, or ValueError(message), a usage error in _cmd_verify, unless holds."""
+    if not holds:
+        raise ValueError(message)
+    return inputs
+
+
+def _ito_inputs(a) -> dict:
+    inputs = {"ns": [a.n], "genus": a.genus}
+    if a.n % 2 == 1:
+        return _checked(inputs, a.genus is not None,
+                        "odd --n has no genus formula; supply --genus explicitly")
+    g = genus_kn(a.n)
+    return _checked(inputs, a.genus in (None, g),
+                    f"--genus {a.genus} differs from the formula's genus {g} at even --n")
+
+
 # Table order is build order.  One `verify` run shares results through one run
 # memo, so the order decides which claim pays for a result it shares with a
 # later one (ito-kn-n4 reuses the p0 of beta_4 that topterm-n4 computes, and
 # genus-n4 the Burau Alexander polynomial that ito-kn-n4 computes).
 SUITES: dict[str, Suite] = {
     "topterm": Suite(
-        "top term of p0 for one beta braid", (_int_arg("--n", 2),),
-        lambda a: {"ns": [a.n]}, _topterm,
+        "top term of p0 for one beta braid", (_int_arg("--n", 2), NODE_BUDGET, MAX_STRANDS),
+        lambda a: _checked({"ns": [a.n]}, a.n >= 2, "--n must be at least 2"), _topterm,
         desk={"ns": [2, 3]}, full={"ns": [2, 3, 4]},
     ),
     "decomposition": Suite(
-        "p0 recursion for n = 2..n-max", (_int_arg("--n-max", 3),),
+        "p0 recursion for n = 2..n-max", (_int_arg("--n-max", 3), NODE_BUDGET, MAX_STRANDS),
         lambda a: {"ns": range(2, a.n_max + 1)}, _decomposition,
         desk={"ns": [2, 3]}, full={"ns": [2, 3, 4]},
     ),
     "sharpness": Suite(
-        "sharpness suite up to n-max", (_int_arg("--n-max", 3),),
+        "sharpness suite up to n-max", (_int_arg("--n-max", 3), NODE_BUDGET, MAX_STRANDS),
         lambda a: {"n_max": a.n_max}, _sharpness,
         desk={"n_max": 3}, full={"n_max": 4},
     ),
@@ -427,13 +464,15 @@ SUITES: dict[str, Suite] = {
         "braid-positivity obstruction controls and one beta braid",
         (_int_arg("--n", 2),
          _int_arg("--genus", None,
-                  help="required for odd --n; at even --n it must equal the formula's")),
-        lambda a: {"ns": [a.n], "genus": a.genus}, _ito,
+                  help="required for odd --n; at even --n it must equal the formula's"),
+         NODE_BUDGET, MAX_STRANDS),
+        _ito_inputs, _ito,
         desk={"ns": [2], "genus": None}, full={"ns": [2, 4], "genus": None},
     ),
     "genus": Suite(
         "Alexander span against the genus formula", (_int_arg("--n", 2),),
-        lambda a: {"ns": [a.n]}, _genus,
+        lambda a: _checked({"ns": [a.n]}, a.n % 2 == 0,
+                           "the genus formula is available for even --n only"), _genus,
         desk={"ns": [2]}, full={"ns": [2, 4]},
     ),
     "lspace": Suite(
@@ -448,12 +487,15 @@ SUITES: dict[str, Suite] = {
     ),
     "traintrack": Suite(
         "graph-map certificates for n = 3..n-max or a JSON map",
-        (_int_arg("--n-max", 8), ("--map", {"help": "certify a JSON graph map instead"})),
-        lambda a: {"ns": range(3, a.n_max + 1), "path": a.map}, _traintrack,
+        (_int_arg("--n-max", None, help="last family map (default 8)"),
+         ("--map", {"help": "certify a JSON graph map instead"}), PF_TOLERANCE, BACKTRACK_BOUND),
+        lambda a: _checked({"ns": range(3, (a.n_max or 8) + 1), "path": a.map},
+                           not (a.map and a.n_max), "--n-max does not apply to --map"),
+        _traintrack,
         desk={"ns": range(3, 9)}, full={"ns": range(3, 9)},
     ),
     "dehornoy": Suite(
-        "Dehornoy floor certificates for n = 2..n-max", (_int_arg("--n-max", 5),),
+        "Dehornoy floor certificates for n = 2..n-max", (_int_arg("--n-max", 5), HANDLE_BUDGET),
         lambda a: {"ns": range(2, a.n_max + 1)}, _dehornoy,
         desk={"ns": range(2, 6)}, full={"ns": range(2, 6)},
     ),
@@ -466,25 +508,20 @@ SUITES: dict[str, Suite] = {
 
 def _cmd_verify(args, parser) -> int:
     config = _config_echo(args)
-    args.node_budget = args.node_budget or 5_000_000
     args.memo = {}  # the run memo: lives for this run only, so runs do not see each other
     if args.target == "all":
         claims = [c for s in SUITES.values() for c in s.build(args, **getattr(s, args.level))]
     else:
         suite = SUITES[args.target]
-        claims = suite.build(args, **suite.inputs(args))
+        try:
+            inputs = suite.inputs(args)
+        except ValueError as exc:
+            parser.error(f"verify {args.target}: {exc}")
+        claims = suite.build(args, **inputs)
         if not claims:
             parser.error(f"verify {args.target}: the bounds given leave its sweep empty")
     results = sorted((_execute(c) for c in claims), key=lambda r: r.claim)
     return _emit_report(results, args.json, config)
-
-
-def _parse_cli_braid(args, parser) -> BraidWord:
-    try:
-        b = parse_braid(args.braid, strands=args.strands)
-    except BraidError as exc:
-        parser.error(str(exc))
-    return _check_word_caps(b, args, parser)
 
 
 def _check_word_caps(b: BraidWord, args, parser) -> BraidWord:
@@ -503,13 +540,8 @@ def _check_word_caps(b: BraidWord, args, parser) -> BraidWord:
 def _invariants_payload(b: BraidWord, args) -> dict:
     stats = closure_stats(b)
     cache = None if args.no_cache else PolynomialCache(default_cache_path())
-    P = homfly(
-        b,
-        engine=args.engine,
-        max_strands=args.max_strands,
-        node_budget=args.node_budget or 200_000,
-        cache=cache,
-    )
+    P = homfly(b, engine=args.engine, max_strands=args.max_strands,
+               node_budget=args.node_budget, cache=cache)
     dec = coefficient_polys(P, stats.components)
     payload = {
         "braid": braid_text(b),
@@ -521,7 +553,7 @@ def _invariants_payload(b: BraidWord, args) -> dict:
         "coefficients": {f"p{i}": str(q) for i, q in enumerate(dec.coeffs)},
     }
     if stats.components == 1:
-        a = _alexander_of(P)  # from the engine's own P, not a second Hecke run
+        a = _alexander_of(P)  # a substitution into the P above, not a Burau run
         payload["alexander"] = str(a)
         payload["determinant"] = _determinant_of(a)
     return payload
@@ -546,7 +578,11 @@ def _print_invariants(b: BraidWord, args) -> int:
 
 
 def _cmd_invariants(args, parser) -> int:
-    return _print_invariants(_parse_cli_braid(args, parser), args)
+    try:
+        b = parse_braid(args.braid, strands=args.strands)
+    except BraidError as exc:
+        parser.error(str(exc))
+    return _print_invariants(_check_word_caps(b, args, parser), args)
 
 
 def _cmd_family(args, parser) -> int:
@@ -560,17 +596,15 @@ def _cmd_family(args, parser) -> int:
     return _print_invariants(_check_word_caps(b, args, parser), args)
 
 
-def _cmd_cache(args) -> int:
+def _cmd_cache(args, parser) -> int:
     cache_path = default_cache_path()
     if args.action == "path":
         print(cache_path)
-        return 0
-    cache = PolynomialCache(cache_path)
-    if args.action == "stats":
-        print(json.dumps(cache.stats(), sort_keys=True))
-        return 0
-    cache.clear()
-    print(f"cleared {cache_path}")
+    elif args.action == "stats":
+        print(json.dumps(PolynomialCache(cache_path).stats(), sort_keys=True))
+    else:
+        PolynomialCache(cache_path).clear()
+        print(f"cleared {cache_path}")
     return 0
 
 
@@ -578,30 +612,11 @@ def _cmd_cache(args) -> int:
 # parser
 
 
-def _add_budget_flags(p: argparse.ArgumentParser) -> None:
-    """Flags every command that computes reads; see _add_verify_flags for the rest."""
-    p.add_argument("--max-strands", type=_positive_int, default=8, help="Hecke engine strand cap")
-    p.add_argument("--node-budget", type=_positive_int, help="skein recursion node cap")
+def _add_flags(p: argparse.ArgumentParser, specs) -> None:
+    """Each (flag, argparse keywords) spec, then --json."""
+    for flag, kw in specs:
+        p.add_argument(flag, **kw)
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-
-
-def _positive_fraction(text: str) -> Fraction:
-    try:
-        if (value := Fraction(text)) > 0:
-            return value
-    except (ValueError, ZeroDivisionError):
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive rational, got {text!r}")
-
-
-def _add_verify_flags(p: argparse.ArgumentParser) -> None:
-    _add_budget_flags(p)
-    p.add_argument("--pf-tolerance", type=_positive_fraction, default=Fraction(1, 10**9),
-                   help="width of the exact eigenvalue enclosure, e.g. 1e-9 or 1/10000")
-    p.add_argument("--backtrack-bound", type=_positive_int, default=None,
-                   help="efficiency iteration bound (default 2 * real edges; all edges for --map)")
-    p.add_argument("--handle-budget", type=_positive_int, default=DEFAULT_STEP_BUDGET,
-                   help="handle reduction cap")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -614,30 +629,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_inv = sub.add_parser("invariants", help="invariants of one braid closure")
     p_inv.add_argument("--braid", required=True, help='letters, e.g. "1 1 1" or "strands=3 1 -2"')
-    p_inv.add_argument("--strands", type=int, default=None)
+    p_inv.add_argument("--strands", type=_positive_int, default=None)
     p_inv.add_argument("--engine", choices=("hecke", "skein"), default="hecke")
     p_inv.add_argument("--no-cache", action="store_true", help="skip the persistent cache")
 
     p_fam = sub.add_parser("family", help="emit a built-in braid word or its invariants")
     p_fam.add_argument("name", choices=tuple(n.replace("_", "-") for n in FAMILY_NAMES))
-    p_fam.add_argument("--n", type=int, required=True)
+    p_fam.add_argument("--n", type=_positive_int, required=True)
     p_fam.add_argument("--emit", choices=("word", "invariants"), default="word")
     p_fam.add_argument("--engine", choices=("hecke", "skein"), default="hecke")
     p_fam.add_argument("--no-cache", action="store_true")
     for q in (p_inv, p_fam):
-        q.add_argument("--max-letters", type=int, default=80, help="input word length cap")
-        _add_budget_flags(q)
+        _add_flags(q, (_int_arg("--max-letters", 80, help="input word length cap"), MAX_STRANDS,
+                       NODE_BUDGET))
+        q.set_defaults(node_budget=200_000)  # one braid, not a suite: a smaller walk budget
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
     ver_sub = p_ver.add_subparsers(dest="target", required=True)
     for name, suite in SUITES.items():
-        q = ver_sub.add_parser(name, help=suite.help)
-        for flag, kw in suite.args:
-            q.add_argument(flag, **kw)
-        _add_verify_flags(q)
+        _add_flags(ver_sub.add_parser(name, help=suite.help), suite.args)
     q = ver_sub.add_parser("all", help="every suite at the chosen level")
     q.add_argument("--level", choices=("desk", "full"), default="desk")
-    _add_verify_flags(q)
+    _add_flags(q, (MAX_STRANDS, NODE_BUDGET, PF_TOLERANCE, BACKTRACK_BOUND, HANDLE_BUDGET))
 
     p_cache = sub.add_parser("cache", help="persistent polynomial cache utilities")
     p_cache.add_argument("action", choices=("path", "stats", "clear"))
@@ -648,26 +661,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        if args.target == "ito" and args.n % 2 == 1 and args.genus is None:
-            parser.error("odd --n has no genus formula; supply --genus explicitly")
-        if (args.target == "ito" and args.n % 2 == 0
-                and args.genus not in (None, genus_kn(args.n))):
-            parser.error(f"--genus {args.genus} differs from the formula's genus "
-                         f"{genus_kn(args.n)} at even --n")
-        if args.target == "genus" and args.n % 2 == 1:
-            parser.error("the genus formula is available for even --n only")
-        if args.target == "topterm" and args.n < 2:
-            parser.error("--n must be at least 2")
-        return _cmd_verify(args, parser)
-    if args.command == "invariants":
-        return _cmd_invariants(args, parser)
-    if args.command == "family":
-        return _cmd_family(args, parser)
-    if args.command == "cache":
-        return _cmd_cache(args)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    handlers = {"verify": _cmd_verify, "invariants": _cmd_invariants, "family": _cmd_family,
+                "cache": _cmd_cache}
+    return handlers[args.command](args, parser)
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -723,8 +724,11 @@ class PolynomialCache:
             "version": self.VERSION,
         }
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o644)
+        try:  # one write per record: appends never interleave inside a line
+            os.write(fd, (json.dumps(record, sort_keys=True) + "\n").encode())
+        finally:
+            os.close(fd)
 
     def stats(self) -> dict:
         size = self.path.stat().st_size if self.path.exists() else 0

@@ -1,10 +1,22 @@
 import argparse
+import dataclasses
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from knotcert.cli import _build_parser, _positive_int, default_cache_path, main
+from knotcert.cli import (
+    HANDLE_BUDGET,
+    SUITES,
+    Suite,
+    _add_flags,
+    _build_parser,
+    _execute,
+    _positive_int,
+    default_cache_path,
+    main,
+)
 
 # sha256 of the `verify all --level desk|full --json` entries without `seconds`
 DESK_DIGEST = "6a4b3350c9df4cc9836f3e0a2e8b91bd24d48f4874260d0699df0447c061817e"
@@ -145,6 +157,24 @@ class TestVerify:
             # at even --n a supplied genus must be the formula's
             ["verify", "ito", "--n", "2", "--genus", "5"],
             ["verify", "ito", "--n", "4", "--genus", "6"],
+            # --n-max sweeps the family maps only
+            ["verify", "traintrack", "--map", "map.json", "--n-max", "4"],
+            # the word and family options must parse as positive integers
+            ["invariants", "--braid", "1 1 1", "--max-letters=-4"],
+            ["invariants", "--braid", "1 1 1", "--strands", "0"],
+            ["family", "beta", "--n=-2"],
+            # a target takes only the budget flags its claims read (the Burau
+            # engine behind `verify genus` has no strand cap to take)
+            pytest.param(["verify", "genus", "--max-strands", "2"], id="genus-max-strands"),
+            pytest.param(["verify", "genus", "--node-budget", "5"], id="genus-node-budget"),
+            pytest.param(["verify", "slopes", "--pf-tolerance", "1/100"],
+                         id="slopes-pf-tolerance"),
+            pytest.param(["verify", "lspace", "--node-budget", "5"], id="lspace-node-budget"),
+            pytest.param(["verify", "dehornoy", "--max-strands", "2"], id="dehornoy-max-strands"),
+            pytest.param(["verify", "traintrack", "--handle-budget", "5"],
+                         id="traintrack-handle-budget"),
+            pytest.param(["verify", "topterm", "--backtrack-bound", "4"],
+                         id="topterm-backtrack-bound"),
         ],
     )
     def test_removed_flags_rejected(self, argv):
@@ -179,24 +209,20 @@ class TestVerify:
         assert code == 0
         assert "[unknown] ito-kn-n3" in out
 
-    def test_genus_respects_strand_cap(self, capsys):
-        # beta_2 has 4 strands, over a Hecke cap of 2; the Burau engine has no cap
-        code, out, _ = run(capsys, "verify", "genus", "--n", "2", "--max-strands", "2", "--json")
-        assert code == 0
-        entry = json.loads(out)["entries"][0]
-        assert entry["status"] == "pass"
-        assert entry["computed"] == {"alexander_span": 12, "genus": 6}
+    def test_verify_all_takes_every_budget_flag(self):
+        args = _build_parser().parse_args([
+            "verify", "all", "--max-strands", "2", "--node-budget", "5", "--pf-tolerance",
+            "1/100", "--backtrack-bound", "4", "--handle-budget", "100000"])
+        assert (args.max_strands, args.node_budget, args.pf_tolerance, args.backtrack_bound,
+                args.handle_budget) == (2, 5, Fraction(1, 100), 4, 100_000)
 
-    def test_strand_cap_holds_after_memo_fill(self, capsys):
-        # a run under the cap gives what a run without it gives
-        code, out, _ = run(capsys, "verify", "genus", "--n", "2", "--json")
+    def test_config_echoes_the_bounds_that_applied(self, capsys):
+        code, out, _ = run(capsys, "verify", "topterm", "--n", "2", "--json")
         assert code == 0
-        alone = json.loads(out)["entries"][0]
-        code, out, _ = run(capsys, "verify", "genus", "--n", "2", "--max-strands", "2", "--json")
+        assert json.loads(out)["config"] == {"n": 2, "node_budget": 5_000_000, "max_strands": 8}
+        code, out, _ = run(capsys, "verify", "slopes", "--k-max", "1", "--json")
         assert code == 0
-        entry = json.loads(out)["entries"][0]
-        assert entry["status"] == "pass"
-        assert entry["computed"] == alone["computed"]
+        assert json.loads(out)["config"] == {"k_max": 1}
 
     @pytest.mark.parametrize("n, genus", [(6, 52), pytest.param(8, 93, marks=pytest.mark.stretch)])
     def test_genus_past_the_hecke_cap(self, capsys, n, genus):
@@ -504,22 +530,87 @@ def _subcommands(parser: argparse.ArgumentParser) -> dict:
     return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 
 
-def bare_int_verify_options(parser: argparse.ArgumentParser) -> list[str]:
-    """Every `verify` option that is parsed by bare int, so that zero or a
-    negative number would pass as a bound."""
-    targets = _subcommands(_subcommands(parser)["verify"])
-    return sorted(f"{name} {flag}" for name, sub in targets.items()
-                  for action in sub._actions if action.type is int
-                  for flag in action.option_strings)
+def bare_int_options(parser: argparse.ArgumentParser, path: tuple = ()) -> list[str]:
+    """Every option of every subcommand that is parsed by bare int, so that
+    zero or a negative number would pass as a bound or a size."""
+    found = []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                found += bare_int_options(sub, (*path, name))
+        elif action.type is int:
+            found += [" ".join((*path, flag)) for flag in action.option_strings or [action.dest]]
+    return sorted(found)
 
 
 class TestIntegerOptions:
     def test_guard_sees_a_bare_int(self):
         parser = argparse.ArgumentParser()
-        target = parser.add_subparsers().add_parser("verify").add_subparsers().add_parser("x")
+        sub = parser.add_subparsers()
+        sub.add_parser("invariants").add_argument("--strands", type=int)
+        target = sub.add_parser("verify").add_subparsers().add_parser("x")
         target.add_argument("--n-max", type=int)
         target.add_argument("--k-max", type=_positive_int)
-        assert bare_int_verify_options(parser) == ["x --n-max"]
+        target.add_argument("n", type=int)
+        assert bare_int_options(parser) == ["invariants --strands", "verify x --n-max",
+                                            "verify x n"]
+
+    def test_node_budget_defaults(self):
+        parser = _build_parser()
+        for argv, budget in ((["invariants", "--braid", "1"], 200_000),
+                             (["family", "kn", "--n", "1"], 200_000),
+                             (["verify", "ito"], 5_000_000), (["verify", "all"], 5_000_000)):
+            assert parser.parse_args(argv).node_budget == budget
 
     def test_no_verify_option_is_a_bare_int(self):
-        assert bare_int_verify_options(_build_parser()) == []
+        # every subcommand, not only `verify`
+        assert bare_int_options(_build_parser()) == []
+
+
+class RecordingNamespace(argparse.Namespace):
+    """A namespace that records each attribute read while `reads` is a set."""
+
+    reads = None
+
+    def __getattribute__(self, name):
+        reads = object.__getattribute__(self, "reads")
+        if reads is not None:
+            reads.add(name)
+        return object.__getattribute__(self, name)
+
+
+# a small run of each `verify` target
+SMALL_ARGV = {
+    "topterm": [], "decomposition": ["--n-max", "2"], "sharpness": ["--n-max", "2"],
+    "ito": [], "genus": [], "lspace": ["--k-max", "1"], "slopes": ["--k-max", "1"],
+    "traintrack": ["--n-max", "3"], "dehornoy": ["--n-max", "2"],
+}
+
+
+def unread_options(target: argparse.ArgumentParser, suite: Suite, argv: list[str]) -> set:
+    """The options of one target that neither its inputs, nor its builder, nor
+    any of its claims read.  The run goes around _cmd_verify, whose config
+    echo reads every option."""
+    args = target.parse_args(argv, namespace=RecordingNamespace())
+    args.memo = {}
+    args.reads = set()
+    claims = suite.build(args, **suite.inputs(args))
+    results = [_execute(c) for c in claims]
+    reads, args.reads = args.reads, None
+    assert results and all(r.status == "pass" for r in results)
+    options = {a.dest for a in target._actions if a.option_strings}
+    return options - {"help", "json"} - reads
+
+
+class TestFlagsAreRead:
+    @pytest.mark.parametrize("name", list(SUITES))
+    def test_every_declared_flag_is_read(self, name):
+        targets = _subcommands(_subcommands(_build_parser())["verify"])
+        assert unread_options(targets[name], SUITES[name], SMALL_ARGV[name]) == set()
+
+    def test_planted_unread_flag_is_seen(self):
+        genus = SUITES["genus"]
+        planted = dataclasses.replace(genus, args=genus.args + (HANDLE_BUDGET,))
+        target = argparse.ArgumentParser()
+        _add_flags(target, planted.args)
+        assert unread_options(target, planted, []) == {"handle_budget"}

@@ -152,6 +152,32 @@ class TestEngineAgreement:
         assert lhs == homfly(zero).shift(0, 1)
 
 
+class TestSymmetries:
+    """Closure symmetries that every engine result must respect."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(words(max_strands=5, max_len=10))
+    def test_reversed_word(self, b):
+        # the closure of the reversed word is the reversed link
+        assert hecke_homfly(BraidWord(b.strands, b.letters[::-1])) == hecke_homfly(b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(words(max_strands=5, max_len=10))
+    def test_flipped_indices(self, b):
+        # sigma_i -> sigma_{s-i} turns the closure over
+        flipped = tuple((b.strands - abs(i)) * (1 if i > 0 else -1) for i in b.letters)
+        assert hecke_homfly(BraidWord(b.strands, flipped)) == hecke_homfly(b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(words(max_strands=5, max_len=10))
+    def test_mirror_word(self, b):
+        # negating every letter gives the mirror image: P(v, z) -> P(-v^-1, z)
+        P_b = hecke_homfly(b)
+        mirrored = {(-a, c): (-1) ** (a % 2) * k for (a, c), k in P_b.terms.items()}
+        assert hecke_homfly(BraidWord(b.strands, tuple(-i for i in b.letters))) == (
+            LaurentPoly2(P_b.vars, mirrored))
+
+
 class TestCoefficients:
     @settings(max_examples=50, deadline=None)
     @given(words())
@@ -711,6 +737,21 @@ class TestCanonicalKeyAndCache:
         again = PolynomialCache(path)
         assert again.get(canonical_key(TREFOIL)) == value
         assert again.stats()["records"] == 1
+
+    def test_record_is_one_append(self, tmp_path, monkeypatch):
+        path = tmp_path / "polys.jsonl"
+        cache = PolynomialCache(path)
+        cache.put("old", 2, homfly(UNKNOT), algorithm="hecke")
+        writes = []
+        real = engine.os.write
+        monkeypatch.setattr(engine.os, "write",
+                            lambda fd, data: writes.append(data) or real(fd, data))
+        cache.put("k", 2, homfly(TREFOIL), algorithm="hecke")
+        monkeypatch.undo()
+        assert len(writes) == 1 and writes[0].endswith(b"\n")
+        again = PolynomialCache(path)
+        assert again.get("k") == homfly(TREFOIL) and again.get("old") == homfly(UNKNOT)
+        assert path.read_bytes().endswith(writes[0])
 
     def test_corrupt_lines_skipped(self, tmp_path):
         path = tmp_path / "polys.jsonl"
