@@ -36,6 +36,7 @@ from .braid import (
 from .dehornoy import DEFAULT_STEP_BUDGET, floor_exceeds_one
 from .errors import BraidError, BudgetExceededError
 from .homfly import (
+    HECKE_MAX_STRANDS,
     PolynomialCache,
     _alexander_of,
     _determinant_of,
@@ -98,15 +99,17 @@ def default_cache_path() -> Path:
 # claim execution
 
 
+def _budget_text(exc: BudgetExceededError) -> str:
+    return f"budget exceeded: {exc}" + ("" if exc.spent is None else f" (spent {exc.spent})")
+
+
 def _execute(claim: Claim) -> ClaimResult:
     start = time.perf_counter()
     try:
         ok, computed = claim.thunk()
         status = "unknown" if ok is None else "pass" if ok else "fail"
     except BudgetExceededError as exc:
-        status, computed = "skipped", f"budget exceeded: {exc}"
-        if exc.spent is not None:
-            computed += f" (spent {exc.spent})"
+        status, computed = "skipped", _budget_text(exc)
     except Exception as exc:  # a crashed claim is a failed claim
         status, computed = "fail", f"error: {exc!r}"
     return ClaimResult(
@@ -143,7 +146,7 @@ def _emit_report(results: list[ClaimResult], as_json: bool, config: dict) -> int
 def _config_echo(args) -> dict:
     """Every option the target was parsed with, so exactly the bounds that applied."""
     return {k: v for k, v in vars(args).items()
-            if k not in ("command", "target", "json") and v is not None}
+            if k not in ("command", "target", "handler", "json") and v is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +161,7 @@ def _sweep(values, text: Callable[..., tuple[str, str]], check: Callable) -> lis
 
 def _topterm(o, ns) -> list[Claim]:
     def check(n):
-        r = verify_topterm(n, node_budget=o.node_budget, max_strands=o.max_strands, memo=o.memo)
+        r = verify_topterm(n, node_budget=o.node_budget, memo=o.memo)
         return r.ok, {"exponent": r.exponent, "coefficient": r.coefficient}
 
     def text(n):
@@ -170,8 +173,7 @@ def _topterm(o, ns) -> list[Claim]:
 
 def _decomposition(o, ns) -> list[Claim]:
     def check(n):
-        r = skein_decomposition_check(n, node_budget=o.node_budget, max_strands=o.max_strands,
-                                      memo=o.memo)
+        r = skein_decomposition_check(n, node_budget=o.node_budget, memo=o.memo)
         return r.holds, {"degree": r.lhs.degree, "terms": len(r.lhs.terms)}
 
     return _sweep(ns, lambda n: (f"decomposition-n{n}", (
@@ -192,7 +194,7 @@ def _sharpness(o, n_max) -> list[Claim]:
     )
 
     def check(row):
-        rep = sharpness(row[2], node_budget=o.node_budget, max_strands=o.max_strands, memo=o.memo)
+        rep = sharpness(row[2], node_budget=o.node_budget, memo=o.memo)
         computed = {"p0_degree": rep.p0_degree, "bound": rep.bound, "sharp": rep.sharp}
         return rep.sharp == row[3], computed
 
@@ -215,8 +217,7 @@ _TORUS_KNOTS = {1: "the trefoil", 2: "the (2,5) torus knot"}  # genus -> name
 
 def _ito(o, ns, genus) -> list[Claim]:
     def verdict(braid, g, engine):
-        return ito_obstruction(braid, g, engine=engine, max_strands=o.max_strands,
-                               node_budget=o.node_budget, memo=o.memo)
+        return ito_obstruction(braid, g, engine=engine, node_budget=o.node_budget, memo=o.memo)
 
     def control(g):  # positivity needs every coefficient: the full Hecke P, on 2 strands
         v = verdict(BraidWord(2, (1,) * (2 * g + 1)), g, "hecke")
@@ -300,6 +301,9 @@ def _certify_family_map(o, n):
         return False, {"irreducible": False, "lambda": None}
     bound = o.backtrack_bound if o.backtrack_bound else 2 * (2 * n + 2)
     eff = is_efficient_up_to(gm, bound)
+    if eff.efficient and not eff.stabilized:  # efficient up to the bound only
+        raise BudgetExceededError(
+            f"no back track within bound {bound}, but the scan did not stabilize", spent=bound)
     en = f"e{n}"
     covers = {t.lstrip("-") for t in gm.edge_image[en]} >= set(diag.real)
     reach = [steps_to_reach(gm, e, en, 2 * n + 2) for e in diag.real]
@@ -414,7 +418,7 @@ def _positive_fraction(text: str) -> Fraction:
 
 
 # The budget flags.  A suite row lists the ones its claims read.
-MAX_STRANDS = _int_arg("--max-strands", 8, help="Hecke engine strand cap")
+MAX_STRANDS = _int_arg("--max-strands", HECKE_MAX_STRANDS, help="Hecke engine strand cap")
 NODE_BUDGET = _int_arg("--node-budget", 5_000_000, help="skein recursion node cap")
 PF_TOLERANCE = ("--pf-tolerance", {"type": _positive_fraction, "default": Fraction(1, 10**9),
                                    "help": "eigenvalue enclosure width, e.g. 1e-9 or 1/10000"})
@@ -446,17 +450,17 @@ def _ito_inputs(a) -> dict:
 # genus-n4 the Burau Alexander polynomial that ito-kn-n4 computes).
 SUITES: dict[str, Suite] = {
     "topterm": Suite(
-        "top term of p0 for one beta braid", (_int_arg("--n", 2), NODE_BUDGET, MAX_STRANDS),
+        "top term of p0 for one beta braid", (_int_arg("--n", 2), NODE_BUDGET),
         lambda a: _checked({"ns": [a.n]}, a.n >= 2, "--n must be at least 2"), _topterm,
         desk={"ns": [2, 3]}, full={"ns": [2, 3, 4]},
     ),
     "decomposition": Suite(
-        "p0 recursion for n = 2..n-max", (_int_arg("--n-max", 3), NODE_BUDGET, MAX_STRANDS),
+        "p0 recursion for n = 2..n-max", (_int_arg("--n-max", 3), NODE_BUDGET),
         lambda a: {"ns": range(2, a.n_max + 1)}, _decomposition,
         desk={"ns": [2, 3]}, full={"ns": [2, 3, 4]},
     ),
     "sharpness": Suite(
-        "sharpness suite up to n-max", (_int_arg("--n-max", 3), NODE_BUDGET, MAX_STRANDS),
+        "sharpness suite up to n-max", (_int_arg("--n-max", 3), NODE_BUDGET),
         lambda a: {"n_max": a.n_max}, _sharpness,
         desk={"n_max": 3}, full={"n_max": 4},
     ),
@@ -465,7 +469,7 @@ SUITES: dict[str, Suite] = {
         (_int_arg("--n", 2),
          _int_arg("--genus", None,
                   help="required for odd --n; at even --n it must equal the formula's"),
-         NODE_BUDGET, MAX_STRANDS),
+         NODE_BUDGET),
         _ito_inputs, _ito,
         desk={"ns": [2], "genus": None}, full={"ns": [2, 4], "genus": None},
     ),
@@ -516,24 +520,20 @@ def _cmd_verify(args, parser) -> int:
         try:
             inputs = suite.inputs(args)
         except ValueError as exc:
-            parser.error(f"verify {args.target}: {exc}")
+            parser.error(str(exc))
         claims = suite.build(args, **inputs)
         if not claims:
-            parser.error(f"verify {args.target}: the bounds given leave its sweep empty")
+            parser.error("the bounds given leave its sweep empty")
     results = sorted((_execute(c) for c in claims), key=lambda r: r.claim)
     return _emit_report(results, args.json, config)
 
 
 def _check_word_caps(b: BraidWord, args, parser) -> BraidWord:
     """Reject a word over the --max-letters or --max-strands cap (exit 2)."""
-    if b.crossings > args.max_letters:
-        parser.error(
-            f"braid has {b.crossings} letters, over the --max-letters budget {args.max_letters}"
-        )
-    if b.strands > args.max_strands:
-        parser.error(
-            f"braid has {b.strands} strands, over the --max-strands budget {args.max_strands}"
-        )
+    for what, count, cap in (("letters", b.crossings, args.max_letters),
+                             ("strands", b.strands, args.max_strands)):
+        if count > cap:
+            parser.error(f"braid has {count} {what}, over the --max-{what} budget {cap}")
     return b
 
 
@@ -563,7 +563,7 @@ def _print_invariants(b: BraidWord, args) -> int:
     try:
         payload = _invariants_payload(b, args)
     except BudgetExceededError as exc:
-        print(f"budget exceeded: {exc}", file=sys.stderr)
+        print(_budget_text(exc), file=sys.stderr)
         return 1
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -627,19 +627,22 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_inv = sub.add_parser("invariants", help="invariants of one braid closure")
+    def command(subparsers, name, handler, **kw):  # usage errors name this parser
+        p = subparsers.add_parser(name, **kw)
+        p.set_defaults(handler=partial(handler, parser=p))
+        return p
+
+    p_inv = command(sub, "invariants", _cmd_invariants, help="invariants of one braid closure")
     p_inv.add_argument("--braid", required=True, help='letters, e.g. "1 1 1" or "strands=3 1 -2"')
     p_inv.add_argument("--strands", type=_positive_int, default=None)
-    p_inv.add_argument("--engine", choices=("hecke", "skein"), default="hecke")
-    p_inv.add_argument("--no-cache", action="store_true", help="skip the persistent cache")
 
-    p_fam = sub.add_parser("family", help="emit a built-in braid word or its invariants")
+    p_fam = command(sub, "family", _cmd_family, help="emit a built-in braid word or its invariants")
     p_fam.add_argument("name", choices=tuple(n.replace("_", "-") for n in FAMILY_NAMES))
     p_fam.add_argument("--n", type=_positive_int, required=True)
     p_fam.add_argument("--emit", choices=("word", "invariants"), default="word")
-    p_fam.add_argument("--engine", choices=("hecke", "skein"), default="hecke")
-    p_fam.add_argument("--no-cache", action="store_true")
     for q in (p_inv, p_fam):
+        q.add_argument("--engine", choices=("hecke", "skein"), default="hecke")
+        q.add_argument("--no-cache", action="store_true", help="skip the persistent cache")
         _add_flags(q, (_int_arg("--max-letters", 80, help="input word length cap"), MAX_STRANDS,
                        NODE_BUDGET))
         q.set_defaults(node_budget=200_000)  # one braid, not a suite: a smaller walk budget
@@ -647,23 +650,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run a verification suite")
     ver_sub = p_ver.add_subparsers(dest="target", required=True)
     for name, suite in SUITES.items():
-        _add_flags(ver_sub.add_parser(name, help=suite.help), suite.args)
-    q = ver_sub.add_parser("all", help="every suite at the chosen level")
+        _add_flags(command(ver_sub, name, _cmd_verify, help=suite.help), suite.args)
+    q = command(ver_sub, "all", _cmd_verify, help="every suite at the chosen level")
     q.add_argument("--level", choices=("desk", "full"), default="desk")
-    _add_flags(q, (MAX_STRANDS, NODE_BUDGET, PF_TOLERANCE, BACKTRACK_BOUND, HANDLE_BUDGET))
+    _add_flags(q, (NODE_BUDGET, PF_TOLERANCE, BACKTRACK_BOUND, HANDLE_BUDGET))
 
-    p_cache = sub.add_parser("cache", help="persistent polynomial cache utilities")
+    p_cache = command(sub, "cache", _cmd_cache, help="persistent polynomial cache utilities")
     p_cache.add_argument("action", choices=("path", "stats", "clear"))
 
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {"verify": _cmd_verify, "invariants": _cmd_invariants, "family": _cmd_family,
-                "cache": _cmd_cache}
-    return handlers[args.command](args, parser)
+    args = _build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

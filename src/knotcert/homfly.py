@@ -49,6 +49,7 @@ from .errors import BudgetExceededError
 from .poly import LaurentPoly1, LaurentPoly2, _add_into, _horner, _mul1, _pow1
 
 __all__ = [
+    "HECKE_MAX_STRANDS",
     "CoefficientDecomposition",
     "homfly",
     "hecke_homfly",
@@ -60,6 +61,8 @@ __all__ = [
     "canonical_key",
     "PolynomialCache",
 ]
+
+HECKE_MAX_STRANDS = 8  # the Hecke engine's default strand cap
 
 
 # --------------------------------------------------------------------------
@@ -277,7 +280,7 @@ def _check_hecke_cap(strands: int, max_strands: int) -> None:
         )
 
 
-def hecke_homfly(b: BraidWord, *, max_strands: int = 8) -> LaurentPoly2:
+def hecke_homfly(b: BraidWord, *, max_strands: int = HECKE_MAX_STRANDS) -> LaurentPoly2:
     """HOMFLY polynomial of the closure via the Hecke-algebra Markov trace."""
     _check_hecke_cap(b.strands, max_strands)
     n, letters = b.strands, len(b.letters)
@@ -543,7 +546,7 @@ def homfly(
     b: BraidWord,
     *,
     engine: str = "hecke",
-    max_strands: int = 8,
+    max_strands: int = HECKE_MAX_STRANDS,
     node_budget: int = 200_000,
     cache: "PolynomialCache | None" = None,
     memo: dict | None = None,
@@ -604,36 +607,32 @@ def p0(
     *,
     node_budget: int = 60_000,
     fallback: bool = True,
-    max_strands: int = 8,
     memo: dict | None = None,
 ) -> LaurentPoly1:
     """Zeroth coefficient polynomial of the closure.
 
     Tries the dedicated skein fast path first; on budget exhaustion falls
-    back to extracting p^0 from the full Hecke HOMFLY polynomial, unless the
-    braid is over ``max_strands``: then the walk's exhaustion is raised, with
-    its spend.  The result, by either path, must pass
-    :func:`_check_p0_identity` and is shared through ``memo`` as in
-    :func:`homfly`.
+    back to extracting p^0 from the full Hecke HOMFLY polynomial, unless
+    ``fallback`` is off or the braid is over the Hecke engine's default cap:
+    then the walk's exhaustion is raised, with its spend.  The result, by
+    either path, must pass :func:`_check_p0_identity` and is shared through
+    ``memo`` as in :func:`homfly`.
     """
 
     def compute() -> LaurentPoly1:
+        components = closure_stats(b).components
         try:
             budget = _Budget(node_budget)
             rules = _with_powers(_P0_RULES, b.strands)
-            return LaurentPoly1("v", _resolve(b.letters, b.strands, budget, rules, None))
+            result = LaurentPoly1("v", _resolve(b.letters, b.strands, budget, rules, None))
         except BudgetExceededError:
-            if not fallback or b.strands > max_strands:  # Hecke would refuse it
+            if not fallback or b.strands > HECKE_MAX_STRANDS:  # Hecke would refuse it
                 raise
-        P = homfly(b, max_strands=max_strands, memo=memo)
-        return coefficient_polys(P, closure_stats(b).components).coeffs[0]
-
-    def checked() -> LaurentPoly1:
-        result = compute()
-        _check_p0_identity(result, closure_stats(b).components)
+            result = coefficient_polys(homfly(b, memo=memo), components).coeffs[0]
+        _check_p0_identity(result, components)
         return result
 
-    return _memoized(memo, "p0", b, checked)
+    return _memoized(memo, "p0", b, compute)
 
 
 def _alexander_of(P: LaurentPoly2) -> LaurentPoly1:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, cable_braid, closure_stats, kn_braid, kn_plus_braid
 from .errors import BraidError
-from .homfly import _alexander_of, alexander, homfly, p0
+from .homfly import HECKE_MAX_STRANDS, _alexander_of, alexander, homfly, p0
 from .poly import LaurentPoly1, LaurentPoly2
 
 __all__ = [
@@ -81,15 +81,16 @@ class DecompositionReport:
 
 
 def sharpness(
-    b: BraidWord, *, node_budget: int = 200_000, max_strands: int = 8, memo: dict | None = None
+    b: BraidWord, *, node_budget: int = 200_000, memo: dict | None = None
 ) -> SharpnessReport:
-    """Compare deg p0 of the closure against strands + crossings - components;
-    ``memo``, here and below, is a run memo as in :func:`~knotcert.homfly.homfly`."""
+    """Compare deg p0 of the closure against strands + crossings - components.
+    Here and below, p0 comes from the resolver walk alone, whose exhaustion is
+    raised, and ``memo`` is a run memo as in :func:`~knotcert.homfly.homfly`."""
     if not b.is_positive:
         raise BraidError("sharpness is defined for all-positive words only")
     stats = closure_stats(b)
     bound = b.strands + b.crossings - stats.components
-    degree = p0(b, node_budget=node_budget, max_strands=max_strands, memo=memo).degree
+    degree = p0(b, node_budget=node_budget, fallback=False, memo=memo).degree
     if degree > bound:
         raise AssertionError(f"degree bound violated: {degree} > {bound}")
     return SharpnessReport(
@@ -107,7 +108,7 @@ def ito_obstruction(
     genus: int,
     *,
     engine: str = "hecke",
-    max_strands: int = 8,
+    max_strands: int = HECKE_MAX_STRANDS,
     node_budget: int = 200_000,
     memo: dict | None = None,
 ) -> ItoVerdict:
@@ -116,9 +117,9 @@ def ito_obstruction(
     The closure must be a knot and genus its Seifert genus.  A negative
     coefficient in P~ certifies non-braid-positivity.  ``engine`` is a
     HOMFLY engine of :func:`~knotcert.homfly.homfly`, or "p0": for a knot p0
-    is the z^0 part of P, so P~ holds only its z^0 part, no Hecke run is
-    needed at any strand count, and the genus check reads the Burau
-    Alexander polynomial.
+    is the z^0 part of P, so P~ holds only its z^0 part, read from the
+    resolver walk alone as in :func:`sharpness`; no Hecke run happens at any
+    strand count, and the genus check reads the Burau Alexander polynomial.
     """
     if genus < 0:
         raise ValueError("genus must be nonnegative")
@@ -126,7 +127,7 @@ def ito_obstruction(
     if stats.components != 1:
         raise BraidError("the Ito obstruction applies to knots only")
     if engine == "p0":
-        z0 = p0(b, node_budget=node_budget, max_strands=max_strands, memo=memo)
+        z0 = p0(b, node_budget=node_budget, fallback=False, memo=memo)
         P = LaurentPoly2(("v", "z"), {(e, 0): c for e, c in z0.terms.items()})
         alex_degree = alexander(b, memo=memo).degree
     else:
@@ -168,12 +169,12 @@ def genus_kn(n: int) -> int:
 
 
 def verify_topterm(
-    n: int, *, node_budget: int = 5_000_000, max_strands: int = 8, memo: dict | None = None
+    n: int, *, node_budget: int = 5_000_000, memo: dict | None = None
 ) -> TopTermReport:
     """Check that p0 of the closure of beta_n has top term (-1)^n v^(3n^2+3n)."""
     if n < 2:
         raise ValueError("top term verification needs n >= 2")
-    poly = p0(kn_braid(n), node_budget=node_budget, max_strands=max_strands, memo=memo)
+    poly = p0(kn_braid(n), node_budget=node_budget, fallback=False, memo=memo)
     exponent, coefficient = poly.top_term()
     expected_exponent = 3 * n * n + 3 * n
     expected_coefficient = (-1) ** n
@@ -188,7 +189,7 @@ def verify_topterm(
 
 
 def skein_decomposition_check(
-    n: int, *, node_budget: int = 5_000_000, max_strands: int = 8, memo: dict | None = None
+    n: int, *, node_budget: int = 5_000_000, memo: dict | None = None
 ) -> DecompositionReport:
     """Verify the zeroth-coefficient recursion
 
@@ -202,7 +203,7 @@ def skein_decomposition_check(
         raise ValueError("the decomposition needs n >= 2")
 
     def q0(b: BraidWord) -> LaurentPoly1:
-        return p0(b, node_budget=node_budget, max_strands=max_strands, memo=memo)
+        return p0(b, node_budget=node_budget, fallback=False, memo=memo)
 
     lhs = q0(kn_braid(n))
     one_minus = LaurentPoly1.from_pairs("v", [(0, 1), (-2, -1)])

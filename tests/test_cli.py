@@ -8,6 +8,7 @@ import pytest
 
 from knotcert.cli import (
     HANDLE_BUDGET,
+    MAX_STRANDS,
     SUITES,
     Suite,
     _add_flags,
@@ -27,6 +28,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def hecke_sizes(monkeypatch) -> list:
+    """The strand counts of the Hecke runs from here on; a run on more than
+    2 strands raises, which fails the claim that made it."""
+    import importlib
+
+    engine = importlib.import_module("knotcert.homfly")
+    hecke, sizes = engine.hecke_homfly, []
+
+    def guarded(b, **kw):
+        sizes.append(b.strands)
+        if b.strands > 2:
+            raise AssertionError(f"Hecke run on {b.strands} strands")
+        return hecke(b, **kw)
+
+    monkeypatch.setattr(engine, "hecke_homfly", guarded)
+    return sizes
 
 
 class TestVerify:
@@ -94,18 +113,7 @@ class TestVerify:
         assert self._all_digest(capsys, "full") == FULL_DIGEST
 
     def test_full_suite_runs_no_hecke_over_two_strands(self, capsys, monkeypatch):
-        import importlib
-
-        engine = importlib.import_module("knotcert.homfly")
-        hecke, sizes = engine.hecke_homfly, []
-
-        def guarded(b, **kw):
-            sizes.append(b.strands)
-            if b.strands > 2:
-                raise AssertionError(f"Hecke run on {b.strands} strands")
-            return hecke(b, **kw)
-
-        monkeypatch.setattr(engine, "hecke_homfly", guarded)
+        sizes = hecke_sizes(monkeypatch)
         code, out, _ = run(capsys, "verify", "all", "--level", "full", "--json")
         assert code == 0
         assert json.loads(out)["summary"] == {"pass": 1530, "fail": 0, "skipped": 0, "unknown": 0}
@@ -175,6 +183,11 @@ class TestVerify:
                          id="traintrack-handle-budget"),
             pytest.param(["verify", "topterm", "--backtrack-bound", "4"],
                          id="topterm-backtrack-bound"),
+            # the p0 claims run the walk alone, so no strand cap steers them
+            *(pytest.param(["verify", target, "--max-strands", "2"], id=f"{target}-max-strands")
+              for target in ("topterm", "decomposition", "sharpness", "ito", "all")),
+            pytest.param(["invariants", "--braid", "1 1 1", "--max-strands=-1"],
+                         id="invariants-max-strands-negative"),
         ],
     )
     def test_removed_flags_rejected(self, argv):
@@ -211,15 +224,15 @@ class TestVerify:
 
     def test_verify_all_takes_every_budget_flag(self):
         args = _build_parser().parse_args([
-            "verify", "all", "--max-strands", "2", "--node-budget", "5", "--pf-tolerance",
-            "1/100", "--backtrack-bound", "4", "--handle-budget", "100000"])
-        assert (args.max_strands, args.node_budget, args.pf_tolerance, args.backtrack_bound,
-                args.handle_budget) == (2, 5, Fraction(1, 100), 4, 100_000)
+            "verify", "all", "--node-budget", "5", "--pf-tolerance", "1/100",
+            "--backtrack-bound", "4", "--handle-budget", "100000"])
+        assert (args.node_budget, args.pf_tolerance, args.backtrack_bound,
+                args.handle_budget) == (5, Fraction(1, 100), 4, 100_000)
 
     def test_config_echoes_the_bounds_that_applied(self, capsys):
         code, out, _ = run(capsys, "verify", "topterm", "--n", "2", "--json")
         assert code == 0
-        assert json.loads(out)["config"] == {"n": 2, "node_budget": 5_000_000, "max_strands": 8}
+        assert json.loads(out)["config"] == {"n": 2, "node_budget": 5_000_000}
         code, out, _ = run(capsys, "verify", "slopes", "--k-max", "1", "--json")
         assert code == 0
         assert json.loads(out)["config"] == {"k_max": 1}
@@ -234,8 +247,7 @@ class TestVerify:
         assert entry["computed"] == {"alexander_span": 2 * genus, "genus": genus}
 
     def test_runs_do_not_share_results(self, capsys):
-        argv = ("verify", "topterm", "--n", "2", "--node-budget", "19", "--max-strands", "2",
-                "--json")
+        argv = ("verify", "topterm", "--n", "2", "--node-budget", "19", "--json")
         _, alone, _ = run(capsys, *argv)
         run(capsys, "verify", "topterm", "--n", "2")
         _, after, _ = run(capsys, *argv)
@@ -298,6 +310,28 @@ class TestVerify:
         entry = json.loads(out)["entries"][0]
         assert entry["status"] == "skipped"
         assert entry["computed"] == "budget exceeded: skein node budget exhausted (spent 1000)"
+
+    @pytest.mark.parametrize("argv, skipped", [
+        (["topterm", "--n", "4", "--node-budget", "10"], {"topterm-n4"}),
+        (["decomposition", "--n-max", "4", "--node-budget", "100"],
+         {"decomposition-n3", "decomposition-n4"}),
+        (["sharpness", "--n-max", "4", "--node-budget", "50"],
+         {"sharpness-cable-k3", "sharpness-cable-k4", "sharpness-knplus-n3",
+          "sharpness-knplus-n4"}),
+        (["ito", "--n", "4", "--node-budget", "100"], {"ito-kn-n4"}),
+    ], ids=["topterm", "decomposition", "sharpness", "ito"])
+    def test_walk_exhaustion_is_a_skip_not_a_hecke_run(self, capsys, monkeypatch, argv,
+                                                       skipped):
+        # under the Hecke cap too: a p0 claim has the walk and its budget only
+        sizes = hecke_sizes(monkeypatch)
+        code, out, _ = run(capsys, "verify", *argv, "--json")
+        assert code == 0
+        entries = {e["claim"]: e for e in json.loads(out)["entries"]}
+        assert {c for c, e in entries.items() if e["status"] == "skipped"} == skipped
+        spend = f"budget exceeded: skein node budget exhausted (spent {argv[-1]})"
+        assert all(entries[c]["computed"] == spend for c in skipped)
+        assert all(e["status"] == "pass" for c, e in entries.items() if c not in skipped)
+        assert all(s <= 2 for s in sizes)
 
     def test_desk_suite_survives_optimize_flag(self):
         import subprocess
@@ -378,6 +412,16 @@ class TestTraintrackMaps:
         entries = {e["claim"]: e for e in doc["entries"]}
         assert entries["usermap-transition-map.json"]["computed"]["lambda"] == 5.445978883
 
+    def test_family_scan_short_of_a_fixed_point_is_skipped(self, capsys):
+        # no back track within one step is not efficiency at every order
+        code, out, _ = run(capsys, "verify", "traintrack", "--n-max", "3",
+                           "--backtrack-bound", "1", "--json")
+        assert code == 0
+        entry = json.loads(out)["entries"][0]
+        assert entry["status"] == "skipped"
+        assert entry["computed"] == ("budget exceeded: no back track within bound 1, but the"
+                                     " scan did not stabilize (spent 1)")
+
     def test_missing_file_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "traintrack", "--map", "/nonexistent.json",
                            "--json")
@@ -445,6 +489,14 @@ class TestInvariants:
         assert len(calls) == 1
         assert json.loads(out_s) == json.loads(out_h)
         assert json.loads(out_s)["determinant"] == 3
+
+    @pytest.mark.parametrize("argv", [["invariants", "--braid", "1 1 1"],
+                                      ["family", "cable", "--n", "1", "--emit", "invariants"]])
+    def test_budget_message_carries_the_spend(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--engine", "skein", "--node-budget", "1",
+                             "--no-cache")
+        assert (code, out) == (1, "")
+        assert err == "budget exceeded: skein node budget exhausted (spent 1)\n"
 
     def test_word_length_cap(self):
         with pytest.raises(SystemExit) as err:
@@ -520,6 +572,16 @@ class TestUsage:
             main([])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["verify", "topterm", "--n", "1"],
+                                      ["verify", "dehornoy", "--n-max", "1"],
+                                      ["invariants", "--braid", "1 x 2"]])
+    def test_usage_error_names_the_subcommand(self, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        usage = capsys.readouterr().err.splitlines()[0]
+        assert usage.startswith(f"usage: knotcert {' '.join(argv[:-2])} [-h]")
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["--version"])
@@ -587,30 +649,53 @@ SMALL_ARGV = {
 }
 
 
-def unread_options(target: argparse.ArgumentParser, suite: Suite, argv: list[str]) -> set:
-    """The options of one target that neither its inputs, nor its builder, nor
-    any of its claims read.  The run goes around _cmd_verify, whose config
-    echo reads every option."""
+def unread_options(target: argparse.ArgumentParser, argv: list[str], claims) -> set:
+    """The options of one target that neither claims(args), which builds its
+    claims, nor any of those claims read.  The run goes around _cmd_verify,
+    whose config echo reads every option."""
     args = target.parse_args(argv, namespace=RecordingNamespace())
     args.memo = {}
     args.reads = set()
-    claims = suite.build(args, **suite.inputs(args))
-    results = [_execute(c) for c in claims]
+    results = [_execute(c) for c in claims(args)]
     reads, args.reads = args.reads, None
     assert results and all(r.status == "pass" for r in results)
     options = {a.dest for a in target._actions if a.option_strings}
     return options - {"help", "json"} - reads
 
 
+def suite_claims(suite: Suite):
+    """A target's claims, from its inputs and its builder."""
+    return lambda args: suite.build(args, **suite.inputs(args))
+
+
+def desk_claims(args) -> list:
+    """The claims of `verify all --level desk`."""
+    return [c for s in SUITES.values() for c in s.build(args, **s.desk)]
+
+
+def verify_targets() -> dict:
+    return _subcommands(_subcommands(_build_parser())["verify"])
+
+
 class TestFlagsAreRead:
     @pytest.mark.parametrize("name", list(SUITES))
     def test_every_declared_flag_is_read(self, name):
-        targets = _subcommands(_subcommands(_build_parser())["verify"])
-        assert unread_options(targets[name], SUITES[name], SMALL_ARGV[name]) == set()
+        target = verify_targets()[name]
+        assert unread_options(target, SMALL_ARGV[name], suite_claims(SUITES[name])) == set()
+
+    def test_every_flag_of_all_is_read(self):
+        # --level picks the inputs in _cmd_verify; each budget flag must reach a suite
+        assert unread_options(verify_targets()["all"], [], desk_claims) == {"level"}
 
     def test_planted_unread_flag_is_seen(self):
         genus = SUITES["genus"]
         planted = dataclasses.replace(genus, args=genus.args + (HANDLE_BUDGET,))
         target = argparse.ArgumentParser()
         _add_flags(target, planted.args)
-        assert unread_options(target, planted, []) == {"handle_budget"}
+        assert unread_options(target, [], suite_claims(planted)) == {"handle_budget"}
+
+    def test_planted_unread_flag_on_all_is_seen(self):
+        target = verify_targets()["all"]
+        flag, kw = MAX_STRANDS
+        target.add_argument(flag, **kw)
+        assert unread_options(target, [], desk_claims) == {"level", "max_strands"}

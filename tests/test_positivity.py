@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from knotcert import positivity
 from knotcert.braid import BraidWord, cable_braid, closure_stats, kn_braid, kn_plus_braid
-from knotcert.errors import BraidError
+from knotcert.errors import BraidError, BudgetExceededError
 from knotcert.homfly import homfly
 from knotcert.poly import LaurentPoly2
 from knotcert.positivity import (
@@ -203,3 +203,18 @@ class TestFamilyClaims:
 
     def test_decomposition_n3(self):
         assert skein_decomposition_check(3).holds
+
+    @pytest.mark.parametrize("call", [
+        lambda: verify_topterm(2, node_budget=3),
+        lambda: skein_decomposition_check(2, node_budget=3),
+        lambda: sharpness(cable_braid(2), node_budget=3),
+        lambda: ito_obstruction(kn_braid(2), 6, engine="p0", node_budget=3),
+    ], ids=["topterm", "decomposition", "sharpness", "ito-p0"])
+    def test_walk_exhaustion_is_raised_inside_the_hecke_cap(self, call, monkeypatch):
+        # 4-strand words: a Hecke fallback could have answered, but these
+        # claims read p0 from the walk alone and report its spend
+        engine = importlib.import_module("knotcert.homfly")
+        monkeypatch.setattr(engine, "hecke_homfly", lambda *a, **kw: pytest.fail("Hecke ran"))
+        with pytest.raises(BudgetExceededError) as err:
+            call()
+        assert err.value.spent == 3
