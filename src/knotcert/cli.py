@@ -99,17 +99,13 @@ def default_cache_path() -> Path:
 # claim execution
 
 
-def _budget_text(exc: BudgetExceededError) -> str:
-    return f"budget exceeded: {exc}" + ("" if exc.spent is None else f" (spent {exc.spent})")
-
-
 def _execute(claim: Claim) -> ClaimResult:
     start = time.perf_counter()
     try:
         ok, computed = claim.thunk()
         status = "unknown" if ok is None else "pass" if ok else "fail"
     except BudgetExceededError as exc:
-        status, computed = "skipped", _budget_text(exc)
+        status, computed = "skipped", f"budget exceeded: {exc}"
     except Exception as exc:  # a crashed claim is a failed claim
         status, computed = "fail", f"error: {exc!r}"
     return ClaimResult(
@@ -301,14 +297,14 @@ def _certify_family_map(o, n):
         return False, {"irreducible": False, "lambda": None}
     bound = o.backtrack_bound if o.backtrack_bound else 2 * (2 * n + 2)
     eff = is_efficient_up_to(gm, bound)
-    if eff.efficient and not eff.stabilized:  # efficient up to the bound only
-        raise BudgetExceededError(
-            f"no back track within bound {bound}, but the scan did not stabilize", spent=bound)
     en = f"e{n}"
     covers = {t.lstrip("-") for t in gm.edge_image[en]} >= set(diag.real)
     reach = [steps_to_reach(gm, e, en, 2 * n + 2) for e in diag.real]
     reach_ok = all(r is not None for r in reach)
     ok = diag.ok and expands(M) and eff.efficient and covers and reach_ok
+    if ok and not eff.stabilized:  # every check holds, but efficient up to the bound only
+        raise BudgetExceededError(
+            f"no back track within bound {bound}, but the scan did not stabilize", spent=bound)
     return ok, {
         "real_edges": len(diag.real),
         "irreducible": True,
@@ -530,10 +526,14 @@ def _cmd_verify(args, parser) -> int:
 
 def _check_word_caps(b: BraidWord, args, parser) -> BraidWord:
     """Reject a word over the --max-letters or --max-strands cap (exit 2)."""
-    for what, count, cap in (("letters", b.crossings, args.max_letters),
-                             ("strands", b.strands, args.max_strands)):
-        if count > cap:
-            parser.error(f"braid has {count} {what}, over the --max-{what} budget {cap}")
+    if b.crossings > args.max_letters:
+        parser.error(
+            f"braid has {b.crossings} letters, over the --max-letters budget {args.max_letters}"
+        )
+    if b.strands > args.max_strands:
+        parser.error(
+            f"braid has {b.strands} strands, over the --max-strands budget {args.max_strands}"
+        )
     return b
 
 
@@ -563,7 +563,7 @@ def _print_invariants(b: BraidWord, args) -> int:
     try:
         payload = _invariants_payload(b, args)
     except BudgetExceededError as exc:
-        print(_budget_text(exc), file=sys.stderr)
+        print(f"budget exceeded: {exc}", file=sys.stderr)
         return 1
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2))
@@ -635,14 +635,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_inv = command(sub, "invariants", _cmd_invariants, help="invariants of one braid closure")
     p_inv.add_argument("--braid", required=True, help='letters, e.g. "1 1 1" or "strands=3 1 -2"')
     p_inv.add_argument("--strands", type=_positive_int, default=None)
+    p_inv.add_argument("--engine", choices=("hecke", "skein"), default="hecke")
+    p_inv.add_argument("--no-cache", action="store_true", help="skip the persistent cache")
 
     p_fam = command(sub, "family", _cmd_family, help="emit a built-in braid word or its invariants")
     p_fam.add_argument("name", choices=tuple(n.replace("_", "-") for n in FAMILY_NAMES))
     p_fam.add_argument("--n", type=_positive_int, required=True)
     p_fam.add_argument("--emit", choices=("word", "invariants"), default="word")
+    p_fam.add_argument("--engine", choices=("hecke", "skein"), default="hecke")
+    p_fam.add_argument("--no-cache", action="store_true")
     for q in (p_inv, p_fam):
-        q.add_argument("--engine", choices=("hecke", "skein"), default="hecke")
-        q.add_argument("--no-cache", action="store_true", help="skip the persistent cache")
         _add_flags(q, (_int_arg("--max-letters", 80, help="input word length cap"), MAX_STRANDS,
                        NODE_BUDGET))
         q.set_defaults(node_budget=200_000)  # one braid, not a suite: a smaller walk budget

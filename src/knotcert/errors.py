@@ -10,9 +10,9 @@ class BraidError(ValueError):
 class BudgetExceededError(RuntimeError):
     """A bounded computation ran out of its configured budget.
 
-    Carries enough context to report the failure instead of guessing a value.
+    Carries enough context, its spend included, to report the failure instead of guessing.
     """
 
     def __init__(self, message: str, *, spent: int | None = None) -> None:
-        super().__init__(message)
+        super().__init__(message if spent is None else f"{message} (spent {spent})")
         self.spent = spent

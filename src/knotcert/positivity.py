@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .braid import BraidWord, cable_braid, closure_stats, kn_braid, kn_plus_braid
 from .errors import BraidError
-from .homfly import HECKE_MAX_STRANDS, _alexander_of, alexander, homfly, p0
+from .homfly import _alexander_of, alexander, homfly, p0
 from .poly import LaurentPoly1, LaurentPoly2
 
 __all__ = [
@@ -108,7 +108,6 @@ def ito_obstruction(
     genus: int,
     *,
     engine: str = "hecke",
-    max_strands: int = HECKE_MAX_STRANDS,
     node_budget: int = 200_000,
     memo: dict | None = None,
 ) -> ItoVerdict:
@@ -131,8 +130,7 @@ def ito_obstruction(
         P = LaurentPoly2(("v", "z"), {(e, 0): c for e, c in z0.terms.items()})
         alex_degree = alexander(b, memo=memo).degree
     else:
-        P = homfly(b, engine=engine, max_strands=max_strands, node_budget=node_budget,
-                   memo=memo)
+        P = homfly(b, engine=engine, node_budget=node_budget, memo=memo)
         alex_degree = _alexander_of(P).degree  # from this engine's P, not a second run
     terms = {}
     for (ve, ze), c in P.terms.items():

@@ -422,6 +422,17 @@ class TestTraintrackMaps:
         assert entry["computed"] == ("budget exceeded: no back track within bound 1, but the"
                                      " scan did not stabilize (spent 1)")
 
+    def test_failed_check_on_a_short_scan_still_fails(self, capsys, monkeypatch):
+        # a smaller bound must not turn a failed check into a skip
+        import knotcert.cli as cli
+
+        monkeypatch.setattr(cli, "expands", lambda M: False)
+        code, out, _ = run(capsys, "verify", "traintrack", "--n-max", "3",
+                           "--backtrack-bound", "1", "--json")
+        assert code == 1
+        entry = json.loads(out)["entries"][0]
+        assert (entry["status"], entry["computed"]["stabilized"]) == ("fail", False)
+
     def test_missing_file_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "traintrack", "--map", "/nonexistent.json",
                            "--json")
