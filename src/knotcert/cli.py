@@ -415,7 +415,7 @@ def _positive_fraction(text: str) -> Fraction:
 
 # The budget flags.  A suite row lists the ones its claims read.
 MAX_STRANDS = _int_arg("--max-strands", HECKE_MAX_STRANDS, help="Hecke engine strand cap")
-NODE_BUDGET = _int_arg("--node-budget", 5_000_000, help="skein recursion node cap")
+NODE_BUDGET = _int_arg("--node-budget", 5_000_000, help="p0 and skein walked-node cap")
 PF_TOLERANCE = ("--pf-tolerance", {"type": _positive_fraction, "default": Fraction(1, 10**9),
                                    "help": "eigenvalue enclosure width, e.g. 1e-9 or 1/10000"})
 BACKTRACK_BOUND = _int_arg("--backtrack-bound", None, help=(
@@ -525,12 +525,13 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _check_word_caps(b: BraidWord, args, parser) -> BraidWord:
-    """Reject a word over the --max-letters or --max-strands cap (exit 2)."""
+    """Reject a word over the --max-letters cap, or under the Hecke engine
+    over the --max-strands cap (exit 2); the skein walk has --node-budget."""
     if b.crossings > args.max_letters:
         parser.error(
             f"braid has {b.crossings} letters, over the --max-letters budget {args.max_letters}"
         )
-    if b.strands > args.max_strands:
+    if args.engine == "hecke" and b.strands > args.max_strands:
         parser.error(
             f"braid has {b.strands} strands, over the --max-strands budget {args.max_strands}"
         )

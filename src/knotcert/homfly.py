@@ -33,6 +33,10 @@ with a branch, a mixed crossing only rescales:
 
     self:   p0(L+) = v^2 p0(L-) + v^2 p0(L0),   p0(L-) = v^-2 p0(L+) - p0(L0)
     mixed:  p0(L+) = v^2 p0(L-)
+
+Mixed crossings never branch, so p0 of a c-component link with knots K_i is
+v^(sum of the mixed crossings' signs) (v^-2 - 1)^(c-1) prod_i p0(K_i)
+(Lickorish-Millett), and the p0 walk runs on knots only.
 """
 
 from __future__ import annotations
@@ -306,15 +310,19 @@ def hecke_homfly(b: BraidWord, *, max_strands: int = HECKE_MAX_STRANDS) -> Laure
 
 
 class _Budget:
-    __slots__ = ("limit", "spent")
+    """Walked-node budget of one resolver call; ``walk`` names the rule row
+    ("p0" or "skein") in the exhaustion message."""
 
-    def __init__(self, nodes: int) -> None:
+    __slots__ = ("limit", "spent", "walk")
+
+    def __init__(self, nodes: int, walk: str) -> None:
         self.limit = nodes
         self.spent = 0
+        self.walk = walk
 
     def spend(self) -> None:
         if self.spent >= self.limit:
-            raise BudgetExceededError("skein node budget exhausted", spent=self.spent)
+            raise BudgetExceededError(f"{self.walk} node budget exhausted", spent=self.spent)
         self.spent += 1
 
 
@@ -378,8 +386,8 @@ def _walk_passes(word: tuple[int, ...], strands: int):
     Strands are named by their start position; ``at`` holds the strand at
     each position.  Returns the crossing passes (letter index, enters-left)
     per component, components ordered by smallest start position; for each
-    letter whether both of its strands lie on one component; and the
-    component count.
+    letter its (left, right) strands; each strand's component label 1..c;
+    and the component count c.
     """
     at = list(range(strands))
     runs: list[list[tuple[int, bool]]] = [[] for _ in range(strands)]
@@ -406,8 +414,7 @@ def _walk_passes(word: tuple[int, ...], strands: int):
             comp[s] = ncomps
             passes += runs[s]
             s = exit_of[s]
-    self_flags = [comp[left] == comp[right] for left, right in pairs]
-    return passes, self_flags, ncomps
+    return passes, pairs, comp, ncomps
 
 
 # The HOMFLY row packs v^a z^b into the int key a + _ZKEY*b, so a monomial
@@ -419,7 +426,9 @@ _ZKEY = 1 << 32
 
 # rule rows: (unlink/split factor, positive smoothing term (shift, sign),
 # negative smoothing term (shift, sign), whether a mixed crossing branches);
-# p0: v^-2 - 1, v^2, -1, no; HOMFLY: delta = (v^-1 - v) z^-1, v z, -v^-1 z, yes
+# p0: v^-2 - 1, v^2, -1, no; HOMFLY: delta = (v^-1 - v) z^-1, v z, -v^-1 z, yes.
+# Where mixed crossings do not branch, a link is factored into its knots
+# before any walk, so the p0 row walks knots only.
 _P0_RULES = ({-2: 1, 0: -1}, (2, 1), (0, -1), False)
 _HOMFLY_RULES = ({-1 - _ZKEY: 1, 1 - _ZKEY: -1}, (1 + _ZKEY, 1), (_ZKEY - 1, -1), True)
 
@@ -434,18 +443,51 @@ def _with_powers(rules: tuple, strands: int) -> tuple:
     return (powers, *rest)
 
 
-def _resolve(word: tuple, strands: int, budget: _Budget, rules: tuple, memo: dict | None) -> dict:
+def _factor(word, pairs, comp, ncomps, budget, rules, memo) -> dict:
+    """p0 of a c-component link from its knots (W. B. R. Lickorish and K. C.
+    Millett, Topology 26, 1987): v^(sum of the mixed crossings' signs) times
+    (v^-2 - 1)^(c-1) times p0 of each component.  ``pairs`` and ``comp`` are
+    the strands of each letter and the component of each strand, from
+    :func:`_walk_passes`.  A component's braid keeps its own crossings, each
+    renumbered by the rank of its left strand among the component's strands;
+    the two strands swap ranks there."""
+    size = [0] * (ncomps + 1)
+    rank = []
+    for c in comp:
+        rank.append(size[c])
+        size[c] += 1
+    words: list[list[int]] = [[] for _ in range(ncomps + 1)]
+    shift = 0
+    for x, (left, right) in zip(word, pairs):
+        c = comp[left]
+        if c != comp[right]:
+            shift += 1 if x > 0 else -1
+            continue
+        r = rank[left] + 1
+        words[c].append(r if x > 0 else -r)
+        rank[left], rank[right] = r, r - 1
+    total = {e + shift: a for e, a in rules[0][ncomps - 1].items()}
+    for c in range(1, ncomps + 1):
+        total = _mul1(total, _resolve(tuple(words[c]), size[c], budget, rules, memo))
+    return total
+
+
+def _resolve(word: tuple, strands: int, budget: _Budget, rules: tuple, memo: dict) -> dict:
     """Descending walk under one rule row: each crossing first met from below
-    is switched, adding its smoothing where the row says so, until the word
-    is an unlink; the running factor is the monomial v^shift.
+    is switched, adding its smoothing, until the word is an unlink; the
+    running factor is the monomial v^shift.  Under the p0 row a link is first
+    factored into its knots by :func:`_factor`, so only knots are walked and
+    every crossing of the walk is a self-crossing.
 
     ``rules`` is a row from :func:`_with_powers`: its first entry lists the
     split factor's powers 0..strands-1 for the top-level word, built once per
-    call, so the unlink value, the split product and the closing term index
-    that list.  Strand counts only fall below the top level, so every index
-    is in range.  ``memo``, for one call or None, maps (strands, least
-    rotation) to node values.  No caller mutates a node value, so the power
-    entries and memo values are shared without copies."""
+    call, so the unlink value, the split product, the link factor and the
+    closing term index that list.  Strand counts only fall below the top
+    level, so every index is in range.  ``memo``, for one call, maps
+    (strands, least rotation) to the values of walked nodes: knots under the
+    p0 row.  ``budget`` counts walked nodes; unlinks, splits, link factors
+    and memo hits spend nothing.  No caller mutates a node value, so the
+    power entries and memo values are shared without copies."""
     powers, plus, minus, mixed_branches = rules
     word, strands = _simplify(word, strands)
     if not word:
@@ -455,12 +497,17 @@ def _resolve(word: tuple, strands: int, budget: _Budget, rules: tuple, memo: dic
         (lw, ls), (rw, rs) = _split_words(word, strands, k)
         prod = _mul1(_resolve(lw, ls, budget, rules, memo), _resolve(rw, rs, budget, rules, memo))
         return _mul1(prod, powers[1])
-    if memo is not None:
-        key = (strands, _canonical_rotation(word))
-        if key in memo:
-            return memo[key]
+    walk = None
+    if not mixed_branches:
+        walk = _walk_passes(word, strands)
+        _, pairs, comp, ncomps = walk
+        if ncomps > 1:
+            return _factor(word, pairs, comp, ncomps, budget, rules, memo)
+    key = (strands, _canonical_rotation(word))
+    if key in memo:
+        return memo[key]
     budget.spend()
-    passes, self_flags, ncomps = _walk_passes(word, strands)
+    passes, _, _, ncomps = walk or _walk_passes(word, strands)
     cur = list(word)
     seen: set[int] = set()
     shift = 0
@@ -472,15 +519,13 @@ def _resolve(word: tuple, strands: int, budget: _Budget, rules: tuple, memo: dic
         positive = cur[t] > 0
         if positive == enters_left:
             continue  # already crossed over on first visit
-        if mixed_branches or self_flags[t]:
-            sub = _resolve(tuple(cur[:t] + cur[t + 1:]), strands, budget, rules, memo)
-            de, sign = plus if positive else minus
-            _add_into(total, sub, shift + de, sign)
+        sub = _resolve(tuple(cur[:t] + cur[t + 1:]), strands, budget, rules, memo)
+        de, sign = plus if positive else minus
+        _add_into(total, sub, shift + de, sign)
         shift += 2 if positive else -2
         cur[t] = -cur[t]
     _add_into(total, powers[ncomps - 1], shift)
-    if memo is not None:
-        memo[key] = total
+    memo[key] = total
     return total
 
 
@@ -490,7 +535,7 @@ def skein_homfly(b: BraidWord, *, node_budget: int = 200_000) -> LaurentPoly2:
     Independent of the Hecke engine; exponential in the worst case, bounded
     by ``node_budget`` resolver nodes.  Its node memo lives for this call.
     """
-    budget = _Budget(node_budget)
+    budget = _Budget(node_budget, "skein")
     rules = _with_powers(_HOMFLY_RULES, b.strands)
     packed = _resolve(b.letters, b.strands, budget, rules, {})
     half = _ZKEY >> 1
@@ -611,7 +656,11 @@ def p0(
 ) -> LaurentPoly1:
     """Zeroth coefficient polynomial of the closure.
 
-    Tries the dedicated skein fast path first; on budget exhaustion falls
+    Tries the dedicated skein fast path first: a link is factored into its
+    knots by the lowest-coefficient formula of W. B. R. Lickorish and K. C.
+    Millett (Topology 26, 1987), and each knot is walked, with a knot memo
+    that lives for this call.  ``node_budget`` counts walked knot nodes;
+    memo hits and factor steps spend nothing.  On budget exhaustion it falls
     back to extracting p^0 from the full Hecke HOMFLY polynomial, unless
     ``fallback`` is off or the braid is over the Hecke engine's default cap:
     then the walk's exhaustion is raised, with its spend.  The result, by
@@ -622,9 +671,9 @@ def p0(
     def compute() -> LaurentPoly1:
         components = closure_stats(b).components
         try:
-            budget = _Budget(node_budget)
+            budget = _Budget(node_budget, "p0")
             rules = _with_powers(_P0_RULES, b.strands)
-            result = LaurentPoly1("v", _resolve(b.letters, b.strands, budget, rules, None))
+            result = LaurentPoly1("v", _resolve(b.letters, b.strands, budget, rules, {}))
         except BudgetExceededError:
             if not fallback or b.strands > HECKE_MAX_STRANDS:  # Hecke would refuse it
                 raise

@@ -202,9 +202,8 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "ito", "--n", "2", "--genus", "6")
         assert code == 0 and "3 pass" in out
 
-    @pytest.mark.stretch
     def test_ito_n6(self, capsys):
-        # p0 of beta_6 (12 strands), about 25 s: past the Hecke cap of 8
+        # p0 of beta_6 (12 strands), about 0.7 s: past the Hecke cap of 8
         code, out, _ = run(capsys, "verify", "ito", "--n", "6", "--json")
         assert code == 0
         entry = {e["claim"]: e for e in json.loads(out)["entries"]}["ito-kn-n6"]
@@ -247,7 +246,7 @@ class TestVerify:
         assert entry["computed"] == {"alexander_span": 2 * genus, "genus": genus}
 
     def test_runs_do_not_share_results(self, capsys):
-        argv = ("verify", "topterm", "--n", "2", "--node-budget", "19", "--json")
+        argv = ("verify", "topterm", "--n", "2", "--node-budget", "5", "--json")
         _, alone, _ = run(capsys, *argv)
         run(capsys, "verify", "topterm", "--n", "2")
         _, after, _ = run(capsys, *argv)
@@ -304,18 +303,18 @@ class TestVerify:
     def test_skip_over_the_strand_cap_reports_the_walk_spend(self, capsys):
         # beta_5 has 10 strands, over the Hecke cap of 8: p0 must not fall
         # back, and the skip must say how far the walk got
-        code, out, _ = run(capsys, "verify", "topterm", "--n", "5", "--node-budget", "1000",
+        code, out, _ = run(capsys, "verify", "topterm", "--n", "5", "--node-budget", "900",
                            "--json")
         assert code == 0
         entry = json.loads(out)["entries"][0]
         assert entry["status"] == "skipped"
-        assert entry["computed"] == "budget exceeded: skein node budget exhausted (spent 1000)"
+        assert entry["computed"] == "budget exceeded: p0 node budget exhausted (spent 900)"
 
     @pytest.mark.parametrize("argv, skipped", [
         (["topterm", "--n", "4", "--node-budget", "10"], {"topterm-n4"}),
-        (["decomposition", "--n-max", "4", "--node-budget", "100"],
+        (["decomposition", "--n-max", "4", "--node-budget", "20"],
          {"decomposition-n3", "decomposition-n4"}),
-        (["sharpness", "--n-max", "4", "--node-budget", "50"],
+        (["sharpness", "--n-max", "4", "--node-budget", "20"],
          {"sharpness-cable-k3", "sharpness-cable-k4", "sharpness-knplus-n3",
           "sharpness-knplus-n4"}),
         (["ito", "--n", "4", "--node-budget", "100"], {"ito-kn-n4"}),
@@ -328,7 +327,7 @@ class TestVerify:
         assert code == 0
         entries = {e["claim"]: e for e in json.loads(out)["entries"]}
         assert {c for c, e in entries.items() if e["status"] == "skipped"} == skipped
-        spend = f"budget exceeded: skein node budget exhausted (spent {argv[-1]})"
+        spend = f"budget exceeded: p0 node budget exhausted (spent {argv[-1]})"
         assert all(entries[c]["computed"] == spend for c in skipped)
         assert all(e["status"] == "pass" for c, e in entries.items() if c not in skipped)
         assert all(s <= 2 for s in sizes)
@@ -508,6 +507,17 @@ class TestInvariants:
                              "--no-cache")
         assert (code, out) == (1, "")
         assert err == "budget exceeded: skein node budget exhausted (spent 1)\n"
+
+    def test_strand_cap_binds_the_hecke_engine_only(self, capsys):
+        # the skein walk has no strand cap; --node-budget bounds it
+        argv = ("invariants", "--braid", "strands=9 1 2", "--no-cache")
+        code, out, _ = run(capsys, *argv, "--engine", "skein")
+        assert code == 0
+        assert "components: 7" in out
+        with pytest.raises(SystemExit) as err:
+            main([*argv, "--engine", "hecke"])
+        assert err.value.code == 2
+        assert "over the --max-strands budget 8" in capsys.readouterr().err
 
     def test_word_length_cap(self):
         with pytest.raises(SystemExit) as err:

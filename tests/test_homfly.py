@@ -52,6 +52,10 @@ TREFOIL = BraidWord(2, (1, 1, 1))
 HOPF = BraidWord(2, (1, 1))
 FIGURE8 = BraidWord(3, (1, -2, 1, -2))
 T25 = BraidWord(2, (1, 1, 1, 1, 1))
+# a 2-component link on 7 strands whose knots take 4 walked p0 nodes
+LINK7 = BraidWord(7, (-4, -3, -2, -1, -5, -2, -1, 4, -5))
+# three trefoils in a chain, linking numbers 1 and -1
+TREFOIL_CHAIN = BraidWord(6, (1, 1, 1, 2, 2, 3, 3, 3, -4, -4, 5, 5, 5))
 
 
 def words(max_strands=4, max_len=9):
@@ -111,12 +115,21 @@ class TestEngineAgreement:
     def test_hecke_equals_skein(self, b):
         assert hecke_homfly(b) == skein_homfly(b)
 
-    @settings(max_examples=60, deadline=None)
-    @given(words())
+    @settings(max_examples=150, deadline=None)
+    @given(words(max_strands=7, max_len=14))
+    @example(TREFOIL_CHAIN)
+    # four components, three of them trefoils, linking numbers 1, 1 and 2
+    @example(BraidWord(7, (1, 1, 1, 2, 2, 3, 3, 3, 4, 4, -5, -5, -5, 6, 6, 6, 6)))
+    @example(BraidWord(3, (1, 1, -2, -2, -2, -2)))  # linking numbers 1 and -2
+    @example(BraidWord(5, (1, -2, 1, -2, 4, 4, 4)))  # split: figure-eight and trefoil
+    @example(BraidWord(6, (1, 1, 1, 2, 2, 4, 4, 5, 5, 5)))  # split: two linked pairs
+    @example(LINK7)
     def test_p0_dual_path(self, b):
+        """The p0 walk factors links into their knots; it must still give
+        p^0 of the Hecke HOMFLY polynomial."""
         direct = p0(b, fallback=False)
         comps = closure_stats(b).components
-        via_full = coefficient_polys(homfly(b), comps).coeffs[0]
+        via_full = coefficient_polys(hecke_homfly(b), comps).coeffs[0]
         assert direct == via_full
 
     @settings(max_examples=40, deadline=None)
@@ -291,14 +304,15 @@ class TestBudgets:
         assert err.value.spent == 5
 
     def test_p0_fallback_disabled(self):
-        # simplifies to a 4-strand word that needs more than 2 nodes
-        b = BraidWord(7, (1, -2, 3, -4, 5, -6, 1, -2, 3))
         with pytest.raises(BudgetExceededError) as err:
-            p0(b, node_budget=2, fallback=False)
+            p0(LINK7, node_budget=2, fallback=False)
         assert err.value.spent == 2
+        assert str(err.value) == "p0 node budget exhausted (spent 2)"
 
     def test_p0_fallback_recovers(self):
-        b = BraidWord(7, (6, -5, 4, -3, 2, -1, 6, -5, 4))
+        b = BraidWord(7, (-3, -4, -5, -6, -2, -5, -6, 3, -2))  # LINK7 turned over: 3 nodes
+        with pytest.raises(BudgetExceededError):
+            p0(b, node_budget=2, fallback=False)
         comps = closure_stats(b).components
         want = coefficient_polys(hecke_homfly(b), comps).coeffs[0]
         assert p0(b, node_budget=2, fallback=True) == want
@@ -356,9 +370,10 @@ class TestHistoryIndependence:
     only a run memo that the caller passes shares results between calls."""
 
     def test_p0_budget_after_earlier_p0(self):
-        p0(BraidWord(4, (1, -2, 3, 1, -2, 3)))
+        # the knot memo of the first call does not serve the second
+        p0(LINK7, fallback=False)
         with pytest.raises(BudgetExceededError) as err:
-            p0(BraidWord(7, (1, -2, 3, -4, 5, -6, 1, -2, 3)), node_budget=2, fallback=False)
+            p0(LINK7, node_budget=2, fallback=False)
         assert err.value.spent == 2
 
     def test_skein_budget_after_full_skein(self):
@@ -397,7 +412,16 @@ class TestHistoryIndependence:
         assert found == []
 
 
-BETA_P0_NODES = [(2, 21), (3, 194), (4, 1_950)]
+BETA_P0_NODES = [(2, 6), (3, 36), (4, 192)]
+
+
+def _p0_walk(b: BraidWord) -> tuple[int, LaurentPoly1]:
+    """Walked nodes and value of one p0 resolver call, with the knot memo
+    that :func:`p0` passes."""
+    budget = engine._Budget(10**8, "p0")
+    rules = engine._with_powers(engine._P0_RULES, b.strands)
+    value = engine._resolve(b.letters, b.strands, budget, rules, {})
+    return budget.spent, LaurentPoly1("v", value)
 
 
 class TestWorkCounts:
@@ -415,14 +439,22 @@ class TestWorkCounts:
             p0(kn_braid(n), node_budget=nodes - 1, fallback=False)
         assert err.value.spent == nodes - 1
 
+    def test_factor_and_memo_hits_spend_nothing(self):
+        # the chain factors into three copies of one trefoil: one walk, two hits
+        assert _p0_walk(TREFOIL_CHAIN)[0] == 1
+
     def test_p0_beta5_nodes(self):
-        # one resolver call, 0.7-1.5 s on 2 cores: the work behind `topterm --n 5`
-        b = kn_braid(5)
-        budget = engine._Budget(10**8)
-        rules = engine._with_powers(engine._P0_RULES, b.strands)
-        value = engine._resolve(b.letters, b.strands, budget, rules, None)
-        assert budget.spent == 20_557
-        assert LaurentPoly1("v", value).top_term() == (90, -1)
+        # one resolver call, about 0.15 s: the work behind `topterm --n 5`
+        spent, value = _p0_walk(kn_braid(5))
+        assert spent == 956
+        assert value.top_term() == (90, -1)
+
+    @pytest.mark.stretch
+    def test_p0_beta7_nodes(self):
+        # 14 strands, 167 letters: about 3 s
+        spent, value = _p0_walk(kn_braid(7))
+        assert spent == 21_004
+        assert value.top_term() == (168, -1)
 
     def test_skein_beta2_nodes(self):
         assert skein_homfly(kn_braid(2), node_budget=203) == hecke_homfly(kn_braid(2))
@@ -455,8 +487,8 @@ def _reference_walk(word, strands):
                     p = k
             if p == start:
                 break
-    flags = [table[t][abs(x) - 1] == table[t][abs(x)] for t, x in enumerate(word)]
-    return passes, flags, stats.components
+    labels = [(table[t][abs(x) - 1], table[t][abs(x)]) for t, x in enumerate(word)]
+    return passes, labels, stats.components
 
 
 def _reference_simplify(word, strands):
@@ -558,16 +590,23 @@ def periodic_words(max_strands=6, max_len=16):
     )
 
 
+def _walk_labels(word, strands):
+    """:func:`_walk_passes` with each letter's strands read as their
+    component labels, the form the reference walk gives."""
+    passes, pairs, comp, ncomps = _walk_passes(word, strands)
+    return passes, [(comp[left], comp[right]) for left, right in pairs], ncomps
+
+
 class TestWalkAndRotation:
     @settings(max_examples=300, deadline=None)
     @given(periodic_words())
     def test_walk_matches_reference(self, b):
-        assert _walk_passes(b.letters, b.strands) == _reference_walk(b.letters, b.strands)
+        assert _walk_labels(b.letters, b.strands) == _reference_walk(b.letters, b.strands)
 
     def test_walk_reference_cases(self):
         for b in (BraidWord(2, ()), BraidWord(4, ()), HOPF, BraidWord(4, (1, 3, 1, 3))):
-            assert _walk_passes(b.letters, b.strands) == _reference_walk(b.letters, b.strands)
-        assert _walk_passes((), 3) == ([], [], 3)
+            assert _walk_labels(b.letters, b.strands) == _reference_walk(b.letters, b.strands)
+        assert _walk_passes((), 3) == ([], [], [1, 2, 3], 3)
 
     @settings(max_examples=300, deadline=None)
     @given(periodic_words())
